@@ -2,21 +2,17 @@
 //!
 //! [`RunConfig`] is the single options surface every way of running a
 //! streaming experiment consumes: the one-shot harness entry points, the
-//! sweep runner's cells, and the continuous-ingest service. It replaces
-//! the former `RunOptions` struct plus the ad-hoc function-per-variant
-//! entry points (`run_streaming`, `run_streaming_observed`, …) with one
-//! builder and one pair of methods — [`RunConfig::run`] /
+//! sweep runner's cells, and the continuous-ingest service: one builder
+//! and one pair of methods — [`RunConfig::run`] /
 //! [`RunConfig::run_observed`] — parameterized by a [`RunSource`]: a
 //! dataset to prepare, an already-prepared workload, or a recorded wire
-//! schedule to replay. The old names survive as thin `#[deprecated]`
-//! shims in [`crate::harness`] for one release.
+//! schedule to replay.
 
 use tdgraph_algos::traits::Algo;
 use tdgraph_graph::datasets::{Dataset, Sizing, StreamingWorkload};
 use tdgraph_graph::error::GraphError;
 use tdgraph_graph::fault::FaultPlan;
 use tdgraph_graph::quarantine::IngestMode;
-use tdgraph_graph::store::StorageKind;
 use tdgraph_graph::update::BatchComposer;
 use tdgraph_graph::wire::RecordedSchedule;
 use tdgraph_obs::{NullRecorder, Recorder};
@@ -111,17 +107,9 @@ pub struct RunConfig {
     pub oracle: OracleMode,
     /// Host execution configuration. A sharded [`ExecConfig`] runs the
     /// machine's record/replay pipeline over worker threads (optionally
-    /// with partitioned reducer lanes and run-length boundary-event
-    /// encoding); every metric, snapshot, and verified state stays
-    /// byte-identical to [`ExecConfig::serial`].
+    /// with partitioned reducer lanes); every metric, snapshot, and
+    /// verified state stays byte-identical to [`ExecConfig::serial`].
     pub exec: ExecConfig,
-    /// Mutable graph-store backend. [`StorageKind::Csr`] is the
-    /// deterministic baseline (byte-identical to every pre-storage-axis
-    /// surface); [`StorageKind::Hybrid`] applies batches in O(touched
-    /// vertices) through the degree-adaptive tiers and additionally feeds
-    /// the sim a storage-layout access trace. Either way every algorithm
-    /// fixpoint is identical.
-    pub storage: StorageKind,
 }
 
 impl Default for RunConfig {
@@ -138,7 +126,6 @@ impl Default for RunConfig {
             fault_plan: FaultPlan::none(),
             oracle: OracleMode::Final,
             exec: ExecConfig::serial(),
-            storage: StorageKind::Csr,
         }
     }
 }
@@ -220,19 +207,10 @@ impl RunConfig {
         self
     }
 
-    /// Sets the host execution configuration. Accepts an [`ExecConfig`]
-    /// directly or a legacy [`tdgraph_sim::ExecMode`](tdgraph_sim::exec::ExecMode)
-    /// via `Into`.
+    /// Sets the host execution configuration.
     #[must_use]
-    pub fn with_exec(mut self, exec: impl Into<ExecConfig>) -> Self {
-        self.exec = exec.into();
-        self
-    }
-
-    /// Sets the mutable graph-store backend.
-    #[must_use]
-    pub fn with_storage(mut self, storage: StorageKind) -> Self {
-        self.storage = storage;
+    pub fn with_exec(mut self, exec: ExecConfig) -> Self {
+        self.exec = exec;
         self
     }
 

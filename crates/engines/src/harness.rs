@@ -2,100 +2,26 @@
 //!
 //! The §4.1 methodology — load 50 % of the edges, compute the initial
 //! fixed point, stream batches of mixed updates, verify against the
-//! from-scratch oracle — now lives in two places: the
+//! from-scratch oracle — lives in two places: the
 //! [`crate::config::RunConfig`] builder (options + entry points) and
 //! [`crate::session::StreamingSession`] (the per-batch core). This module
-//! re-exports both so existing `harness::` paths keep working, and keeps
-//! the four historical free functions as thin `#[deprecated]` shims over
-//! [`RunConfig::run`] / [`RunConfig::run_observed`] for one release.
-
-use tdgraph_algos::traits::Algo;
-use tdgraph_graph::datasets::{Dataset, Sizing, StreamingWorkload};
-use tdgraph_obs::Recorder;
-
-use crate::engine::Engine;
-use crate::error::EngineError;
+//! re-exports both so existing `harness::` paths keep working.
 
 pub use crate::config::{OracleMode, RunConfig, RunSource};
 pub use crate::session::{quarantine_key, OracleCheck, OracleSummary, RunResult, StreamingSession};
 
-/// Former name of [`RunConfig`].
-#[deprecated(since = "0.6.0", note = "renamed to RunConfig")]
-pub type RunOptions = RunConfig;
-
-/// Runs `engine` with `algo` over the streaming workload of `dataset`.
-///
-/// # Errors
-///
-/// Same as [`RunConfig::run_observed`].
-#[deprecated(since = "0.6.0", note = "use RunConfig::run with RunSource::Dataset")]
-pub fn run_streaming<E: Engine + ?Sized>(
-    engine: &mut E,
-    algo: Algo,
-    dataset: Dataset,
-    sizing: Sizing,
-    opts: &RunConfig,
-) -> Result<RunResult, EngineError> {
-    opts.run(engine, algo, RunSource::Dataset(dataset, sizing))
-}
-
-/// Like [`run_streaming`], but emits live instrumentation into `recorder`.
-///
-/// # Errors
-///
-/// Same as [`RunConfig::run_observed`].
-#[deprecated(since = "0.6.0", note = "use RunConfig::run_observed with RunSource::Dataset")]
-pub fn run_streaming_observed<E: Engine + ?Sized>(
-    engine: &mut E,
-    algo: Algo,
-    dataset: Dataset,
-    sizing: Sizing,
-    opts: &RunConfig,
-    recorder: &mut dyn Recorder,
-) -> Result<RunResult, EngineError> {
-    opts.run_observed(engine, algo, RunSource::Dataset(dataset, sizing), recorder)
-}
-
-/// Runs over an already-prepared workload (lets callers customize graphs).
-///
-/// # Errors
-///
-/// Same as [`RunConfig::run_observed`].
-#[deprecated(since = "0.6.0", note = "use RunConfig::run with RunSource::Workload")]
-pub fn run_streaming_workload<E: Engine + ?Sized>(
-    engine: &mut E,
-    algo: Algo,
-    workload: StreamingWorkload,
-    opts: &RunConfig,
-) -> Result<RunResult, EngineError> {
-    opts.run(engine, algo, RunSource::Workload(workload))
-}
-
-/// Like [`run_streaming_workload`], but observed.
-///
-/// # Errors
-///
-/// Same as [`RunConfig::run_observed`].
-#[deprecated(since = "0.6.0", note = "use RunConfig::run_observed with RunSource::Workload")]
-pub fn run_streaming_workload_observed<E: Engine + ?Sized>(
-    engine: &mut E,
-    algo: Algo,
-    workload: StreamingWorkload,
-    opts: &RunConfig,
-    recorder: &mut dyn Recorder,
-) -> Result<RunResult, EngineError> {
-    opts.run_observed(engine, algo, RunSource::Workload(workload), recorder)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::EngineError;
     use crate::ligra_o::LigraO;
+    use tdgraph_algos::traits::Algo;
     use tdgraph_algos::verify::VerifyOutcome;
+    use tdgraph_graph::datasets::{Dataset, Sizing, StreamingWorkload};
     use tdgraph_graph::fault::FaultPlan;
     use tdgraph_graph::quarantine::{IngestMode, QuarantineReason};
     use tdgraph_obs::MemoryRecorder;
-    use tdgraph_sim::exec::{EventEncoding, ExecConfig, MAX_REDUCE_LANES};
+    use tdgraph_sim::exec::{ExecConfig, MAX_REDUCE_LANES};
 
     fn amazon_tiny(cfg: &RunConfig) -> Result<RunResult, EngineError> {
         cfg.run(&mut LigraO, Algo::sssp(0), (Dataset::Amazon, Sizing::Tiny))
@@ -110,22 +36,6 @@ mod tests {
             assert!(res.metrics.cycles > 0);
             assert_eq!(res.metrics.batches, 2);
         }
-    }
-
-    #[test]
-    fn deprecated_shims_match_the_new_entry_point() {
-        let new = amazon_tiny(&RunConfig::small()).unwrap();
-        #[allow(deprecated)]
-        let old = run_streaming(
-            &mut LigraO,
-            Algo::sssp(0),
-            Dataset::Amazon,
-            Sizing::Tiny,
-            &RunConfig::small(),
-        )
-        .unwrap();
-        assert_eq!(format!("{:?}", old.metrics), format!("{:?}", new.metrics));
-        assert_eq!(old.verify, new.verify);
     }
 
     #[test]
@@ -244,18 +154,6 @@ mod tests {
     }
 
     #[test]
-    fn legacy_exec_mode_still_configures_runs() {
-        #[allow(deprecated)]
-        use tdgraph_sim::exec::ExecMode;
-        #[allow(deprecated)]
-        let old = amazon_tiny(&RunConfig::small().with_exec(ExecMode::Sharded(2))).unwrap();
-        let new =
-            amazon_tiny(&RunConfig::small().with_exec(ExecConfig::serial().shards(2))).unwrap();
-        assert_eq!(format!("{:?}", old.metrics), format!("{:?}", new.metrics));
-        assert_eq!(old.verify, new.verify);
-    }
-
-    #[test]
     fn sharded_run_matches_serial_byte_for_byte() {
         let serial = amazon_tiny(&RunConfig::small()).unwrap();
         assert!(serial.exec.is_none(), "serial runs carry no pipeline report");
@@ -264,7 +162,7 @@ mod tests {
             ExecConfig::serial().shards(2),
             ExecConfig::serial().shards(4),
             ExecConfig::serial().shards(4).reduce_lanes(2),
-            ExecConfig::serial().shards(2).reduce_lanes(4).event_encoding(EventEncoding::RunLength),
+            ExecConfig::serial().shards(2).reduce_lanes(4),
         ] {
             let sharded = amazon_tiny(&RunConfig::small().with_exec(exec)).unwrap();
             assert_eq!(
@@ -276,7 +174,6 @@ mod tests {
             assert_eq!(sharded.verify, serial.verify);
             let report = sharded.exec.expect("sharded runs carry a pipeline report");
             assert_eq!(report.reduce_lanes, exec.lanes());
-            assert_eq!(report.encoding, exec.encoding());
         }
     }
 
@@ -324,13 +221,7 @@ mod tests {
         let serial = run(ExecConfig::serial());
         assert_eq!(serial, run(ExecConfig::serial().shards(2)));
         assert_eq!(serial, run(ExecConfig::serial().shards(4).reduce_lanes(2)));
-        assert_eq!(
-            serial,
-            run(ExecConfig::serial()
-                .shards(2)
-                .reduce_lanes(4)
-                .event_encoding(EventEncoding::RunLength))
-        );
+        assert_eq!(serial, run(ExecConfig::serial().shards(2).reduce_lanes(4)));
     }
 
     #[test]

@@ -19,16 +19,14 @@ use tdgraph_algos::traits::Algo;
 use tdgraph_algos::verify::{compare, VerifyOutcome};
 use tdgraph_graph::csr::Csr;
 use tdgraph_graph::datasets::StreamingWorkload;
-use tdgraph_graph::partition::{owner_of, partition_by_edges, Chunk, ShardPlan};
+use tdgraph_graph::partition::{partition_by_edges, ShardPlan};
 use tdgraph_graph::quarantine::{IngestMode, QuarantineReason, QuarantineReport};
-use tdgraph_graph::store::{
-    AnyStore, GraphStore, StorageKind, StorageRegion, StorageStats, TOUCH_ROW_STRIDE,
-};
+use tdgraph_graph::streaming::StreamingGraph;
 use tdgraph_graph::types::Edge;
 use tdgraph_graph::update::{EdgeUpdate, UpdateBatch};
 use tdgraph_graph::wire::RecordedEntry;
 use tdgraph_obs::{keys, MemoryRecorder, Recorder, RecorderHandle, TraceEvent};
-use tdgraph_sim::address::{AddressSpace, Region};
+use tdgraph_sim::address::AddressSpace;
 use tdgraph_sim::energy::{EnergyBreakdown, EnergyConstants};
 use tdgraph_sim::exec::ExecPipelineReport;
 use tdgraph_sim::machine::Machine;
@@ -111,9 +109,6 @@ pub struct RunResult {
     /// run (`None` for serial runs). Wall-clock, so deliberately outside
     /// every deterministic surface — [`RunMetrics`] never reads it.
     pub exec: Option<ExecPipelineReport>,
-    /// End-of-run tier occupancy / transition counters of the graph store
-    /// (all-zero under the tierless CSR baseline).
-    pub storage: StorageStats,
 }
 
 /// An open streaming run over one workload.
@@ -128,10 +123,7 @@ pub struct RunResult {
 pub struct StreamingSession {
     cfg: RunConfig,
     algo: Algo,
-    store: AnyStore,
-    /// Element capacities the layout-touch fold works within:
-    /// `(neighbor/weight array elements, hash-table slots)`.
-    touch_dims: (u64, u64),
+    graph: StreamingGraph,
     machine: Machine,
     state: AlgoState,
     counters: UpdateCounters,
@@ -183,27 +175,10 @@ impl StreamingSession {
         let default_batch = (graph.edge_count() / 16).max(64);
         let batch_size = cfg.batch_size.unwrap_or(default_batch);
 
-        // The mutable substrate: the CSR arm wraps the workload graph
-        // untouched (bit-for-bit the pre-trait code path); the hybrid arm
-        // replays its edges in iteration order, so both start from the
-        // same buffer order. Only the hybrid store traces its layout
-        // touches — the CSR baseline must not charge anything new.
-        let mut store = AnyStore::from_streaming(cfg.storage, graph);
-        if cfg.storage == StorageKind::Hybrid {
-            // Enabled only after the initial load, so the cold start stays
-            // uncharged (the paper measures per-batch work).
-            store.set_touch_tracing(true);
-        }
-        // Region capacities the synthetic touch addresses fold into
-        // (mirrors the `AddressSpace::layout` sizing above).
-        let touch_dims =
-            ((edge_capacity as u64).max(1), ((coalesced as f64 / 0.75).ceil() as u64).max(1));
-
         Ok(Self {
             cfg,
             algo,
-            store,
-            touch_dims,
+            graph,
             machine,
             state,
             counters: UpdateCounters::new(n),
@@ -224,24 +199,16 @@ impl StreamingSession {
         std::mem::take(&mut self.pending)
     }
 
-    /// The edges currently present in the mutable graph (composer input;
-    /// iteration order is identical across storage backends — the
-    /// documented determinism contract of [`GraphStore::edges_vec`]).
+    /// The edges currently present in the mutable graph (composer input).
     #[must_use]
     pub fn present_edges(&self) -> Vec<Edge> {
-        self.store.edges_vec()
+        self.graph.edges_vec()
     }
 
     /// Number of vertices the session's graph was laid out for.
     #[must_use]
     pub fn vertex_count(&self) -> usize {
-        self.store.num_vertices()
-    }
-
-    /// Which storage backend the session's mutable graph uses.
-    #[must_use]
-    pub fn storage_kind(&self) -> StorageKind {
-        self.store.kind()
+        self.graph.vertex_count()
     }
 
     /// The effective per-batch update target (explicit
@@ -327,10 +294,10 @@ impl StreamingSession {
             IngestMode::Lenient => UpdateBatch::from_updates_lenient(raw, &mut self.quarantine),
         };
         let applied = match self.cfg.ingest {
-            IngestMode::Strict => self.store.apply_batch(&batch)?,
-            IngestMode::Lenient => self.store.apply_batch_lenient(&batch, &mut self.quarantine),
+            IngestMode::Strict => self.graph.apply_batch(&batch)?,
+            IngestMode::Lenient => self.graph.apply_batch_lenient(&batch, &mut self.quarantine),
         };
-        let snapshot = self.store.snapshot();
+        let snapshot = self.graph.snapshot();
         let transpose = snapshot.transpose();
         let chunks = partition_by_edges(&snapshot, self.cfg.sim.cores * self.cfg.chunks_per_core);
         let mass = out_mass(&self.algo, &snapshot);
@@ -342,11 +309,6 @@ impl StreamingSession {
         // Batch application + seeding: "other" time.
         recorder.span_enter(keys::PHASE_OTHER);
         self.machine.compute(0, Actor::Core, Op::ScheduleOp, batch.len() as u64 * 2);
-        // The store's own layout touches from applying the batch (hybrid
-        // only; the CSR store records nothing, keeping its runs
-        // byte-identical). Charged here so the cache/NoC models see the
-        // adjacency layout the updates actually walked.
-        self.charge_storage_touches(&chunks);
         let affected = {
             let mut tap = MachineTap::new(&mut self.machine, &chunks);
             seed_after_batch(&self.algo, &snapshot, &transpose, &mut self.state, &applied, &mut tap)
@@ -415,45 +377,6 @@ impl StreamingSession {
         Ok(())
     }
 
-    /// Drains the store's update-touch trace and charges each touch into
-    /// the machine as a core memory access, folding the store's synthetic
-    /// layout onto the simulated address space: row headers land in
-    /// `Offset_Array` (one header line per vertex), buffer slots in
-    /// `Neighbor_Array` / `Weight_Array` with per-vertex buffers scattered
-    /// pseudo-randomly through the region (heap-allocated rows, unlike
-    /// CSR's packed arrays — exactly the layout difference the cache model
-    /// should observe), and hash probes in the `H_Table` region. Touches
-    /// are attributed to the core owning the touched vertex.
-    fn charge_storage_touches(&mut self, chunks: &[Chunk]) {
-        let touches = self.store.take_update_touches();
-        if touches.is_empty() {
-            return;
-        }
-        let cores = self.machine.cores();
-        let (buffer_elems, hash_elems) = self.touch_dims;
-        for t in touches {
-            let core = owner_of(chunks, t.vertex).map_or(0, |chunk| chunk % cores);
-            let (region, index) = match t.region {
-                StorageRegion::RowHeader => (Region::OffsetArray, u64::from(t.vertex)),
-                StorageRegion::NeighborSlot
-                | StorageRegion::WeightSlot
-                | StorageRegion::HashSlot => {
-                    let pos = t.index % TOUCH_ROW_STRIDE;
-                    let (region, elems) = match t.region {
-                        StorageRegion::NeighborSlot => (Region::NeighborArray, buffer_elems),
-                        StorageRegion::WeightSlot => (Region::WeightArray, buffer_elems),
-                        _ => (Region::HashTable, hash_elems),
-                    };
-                    // Deterministic per-vertex buffer base (multiply
-                    // hash), positions contiguous from it.
-                    let base = u64::from(t.vertex).wrapping_mul(0x9E37_79B9_7F4A_7C15) % elems;
-                    (region, (base + pos) % elems)
-                }
-            };
-            self.machine.access(core, Actor::Core, region, index, t.is_write);
-        }
-    }
-
     /// Closes the run: final machine drain, energy rollup, final oracle
     /// verification, and the end-of-run totals export (to `recorder` live
     /// and to an internal snapshot the returned [`RunMetrics`] are read
@@ -490,7 +413,6 @@ impl StreamingSession {
         let machine = &self.machine;
         let quarantine = &self.quarantine;
         let oracle_summary = &self.oracle_summary;
-        let storage_stats = self.store.stats();
         let useful_total = self.useful_total;
         let batches_done = self.batches_done;
         let algo = self.algo;
@@ -516,16 +438,6 @@ impl StreamingSession {
                 rec.counter(keys::ORACLE_CHECKS, oracle_summary.checks);
                 rec.counter(keys::ORACLE_MISMATCHES, oracle_summary.mismatches);
             }
-            // Same pattern for the storage tiers: the tierless CSR store
-            // reports all-zero, so its snapshots stay byte-identical to
-            // the pre-storage-axis era.
-            if !storage_stats.is_empty() {
-                rec.counter(keys::STORAGE_TIER_INLINE, storage_stats.inline_vertices);
-                rec.counter(keys::STORAGE_TIER_LINEAR, storage_stats.linear_vertices);
-                rec.counter(keys::STORAGE_TIER_INDEXED, storage_stats.indexed_vertices);
-                rec.counter(keys::STORAGE_PROMOTIONS, storage_stats.promotions);
-                rec.counter(keys::STORAGE_DEMOTIONS, storage_stats.demotions);
-            }
         };
         export_totals(recorder);
 
@@ -543,7 +455,6 @@ impl StreamingSession {
             quarantine: self.quarantine,
             oracle: self.oracle_summary,
             exec,
-            storage: storage_stats,
         }
     }
 }

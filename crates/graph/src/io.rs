@@ -23,12 +23,10 @@
 //! on the first bad record with the 1-based line number and a truncated
 //! copy of the offending line; lenient skips each bad record into a
 //! bounded [`QuarantineReport`] and keeps going — a mid-stream read error
-//! keeps the parsed prefix instead of losing it), arm seeded input
-//! corruption with [`LoadConfig::fault_plan`], and choose the backing
-//! [`StorageKind`] with [`LoadConfig::storage`]. The result is a
+//! keeps the parsed prefix instead of losing it) and arm seeded input
+//! corruption with [`LoadConfig::fault_plan`]. The result is a
 //! [`LoadOutcome`] carrying the parsed edges, the quarantine accounting,
-//! and a ready-to-mutate [`AnyStore`]. The pre-builder entry points
-//! ([`load_edge_list`] and friends) survive as deprecated shims.
+//! and a ready-to-mutate [`StreamingGraph`].
 
 use std::error::Error;
 use std::fmt;
@@ -38,7 +36,7 @@ use std::path::Path;
 use crate::fault::FaultPlan;
 use crate::prng::Xoshiro256StarStar;
 use crate::quarantine::{truncate_detail, IngestMode, QuarantineReason, QuarantineReport};
-use crate::store::{AnyStore, GraphStore, StorageKind};
+use crate::streaming::StreamingGraph;
 use crate::types::{Edge, VertexCount, VertexId};
 
 /// An edge list loaded from disk.
@@ -164,35 +162,30 @@ fn parse_data_line(trimmed: &str) -> Result<(VertexId, VertexId, Option<f32>), L
     Ok((src, dst, weight))
 }
 
-/// Builder configuring how an edge list is loaded: ingest discipline,
-/// seeded input corruption, and which [`StorageKind`] backs the resulting
-/// mutable store.
+/// Builder configuring how an edge list is loaded: ingest discipline and
+/// seeded input corruption.
 ///
 /// ```
 /// use tdgraph_graph::io::LoadConfig;
 /// use tdgraph_graph::quarantine::IngestMode;
-/// use tdgraph_graph::store::{GraphStore, StorageKind};
 ///
 /// let outcome = LoadConfig::new()
 ///     .ingest(IngestMode::Lenient)
-///     .storage(StorageKind::Hybrid)
 ///     .parse(std::io::Cursor::new("0 1 2.0\nbroken\n1 2 1.5\n"))
 ///     .unwrap();
 /// assert_eq!(outcome.graph.edges.len(), 2);
 /// assert_eq!(outcome.quarantine.total(), 1);
-/// assert_eq!(outcome.store.num_edges(), 2);
+/// assert_eq!(outcome.store.edge_count(), 2);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct LoadConfig {
     ingest: IngestMode,
     fault_plan: FaultPlan,
-    storage: StorageKind,
 }
 
 /// What a [`LoadConfig`] load produced: the parsed edge list, the
 /// quarantine accounting (always empty under strict ingest), and a
-/// mutable store of the requested [`StorageKind`] pre-populated with the
-/// loaded edges.
+/// mutable graph pre-populated with the loaded edges.
 #[derive(Debug)]
 pub struct LoadOutcome {
     /// The parsed edges, vertex count, and comment/blank accounting.
@@ -200,11 +193,11 @@ pub struct LoadOutcome {
     /// Records skipped by lenient ingest (empty under strict ingest).
     pub quarantine: QuarantineReport,
     /// The loaded graph as a mutable store, ready for update batches.
-    pub store: AnyStore,
+    pub store: StreamingGraph,
 }
 
 impl LoadConfig {
-    /// Strict ingest, no fault injection, CSR-backed storage.
+    /// Strict ingest, no fault injection.
     #[must_use]
     pub fn new() -> Self {
         Self::default()
@@ -223,14 +216,6 @@ impl LoadConfig {
     #[must_use]
     pub fn fault_plan(mut self, plan: FaultPlan) -> Self {
         self.fault_plan = plan;
-        self
-    }
-
-    /// Selects the storage backend of [`LoadOutcome::store`] (default
-    /// [`StorageKind::Csr`]).
-    #[must_use]
-    pub fn storage(mut self, kind: StorageKind) -> Self {
-        self.storage = kind;
         self
     }
 
@@ -283,57 +268,27 @@ impl LoadConfig {
             IngestMode::Strict => (parse_edge_list(reader)?, QuarantineReport::new()),
             IngestMode::Lenient => parse_lenient(reader),
         };
-        let mut store = AnyStore::with_capacity(self.storage, graph.vertex_count);
+        let mut store = StreamingGraph::with_capacity(graph.vertex_count);
         // Every endpoint is < vertex_count by construction, so population
         // cannot fail.
-        if let Err(e) = store.insert_edges(&graph.edges) {
+        if let Err(e) = store.insert_edges(graph.edges.iter().copied()) {
             debug_assert!(false, "loader produced out-of-bounds edge: {e}");
         }
         Ok(LoadOutcome { graph, quarantine, store })
     }
 }
 
-/// Loads a SNAP-style edge list: one `src dst [weight]` triple per line,
-/// whitespace-separated, `#`-prefixed comment lines ignored. Unweighted
-/// edges receive deterministic small-integer weights in `{1, …, 64}`
-/// (seeded by the endpoints), matching the convention the streaming-graph
-/// evaluations use for unweighted SNAP graphs.
+/// Parses a SNAP-style edge list from any reader: one `src dst [weight]`
+/// triple per line, whitespace-separated, `#`-prefixed comment lines
+/// ignored. Unweighted edges receive deterministic small-integer weights
+/// in `{1, …, 64}` (seeded by the endpoints), matching the convention the
+/// streaming-graph evaluations use for unweighted SNAP graphs.
 ///
 /// # Errors
 ///
-/// [`LoadError::Io`] on file errors, [`LoadError::Parse`] on malformed
+/// [`LoadError::Io`] on read errors, [`LoadError::Parse`] on malformed
 /// lines (including non-finite explicit weights),
 /// [`LoadError::TooManyVertices`] on an id past the [`VertexId`] range.
-#[deprecated(since = "0.1.0", note = "use `LoadConfig::new().load(path)` instead")]
-pub fn load_edge_list<P: AsRef<Path>>(path: P) -> Result<LoadedGraph, LoadError> {
-    let file = std::fs::File::open(path)?;
-    parse_edge_list(BufReader::new(file))
-}
-
-/// Lenient variant of `load_edge_list`: bad records are skipped into the
-/// returned [`QuarantineReport`] instead of aborting the load.
-///
-/// # Errors
-///
-/// [`LoadError::Io`] only when the file cannot be opened; a read error
-/// mid-stream is quarantined ([`QuarantineReason::IoInterrupted`]) and the
-/// parsed prefix is returned.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `LoadConfig::new().ingest(IngestMode::Lenient).load(path)` instead"
-)]
-pub fn load_edge_list_lenient<P: AsRef<Path>>(
-    path: P,
-) -> Result<(LoadedGraph, QuarantineReport), LoadError> {
-    let file = std::fs::File::open(path)?;
-    Ok(parse_lenient(BufReader::new(file)))
-}
-
-/// Parses an edge list from any reader (see [`load_edge_list`]).
-///
-/// # Errors
-///
-/// Same as [`load_edge_list`].
 pub fn parse_edge_list<R: BufRead>(reader: R) -> Result<LoadedGraph, LoadError> {
     let mut edges = Vec::new();
     let mut max_vertex: u64 = 0;
@@ -358,23 +313,12 @@ pub fn parse_edge_list<R: BufRead>(reader: R) -> Result<LoadedGraph, LoadError> 
     Ok(LoadedGraph { edges, vertex_count, skipped_lines: skipped })
 }
 
-/// Lenient variant of [`parse_edge_list`]: every record strict mode would
+/// Lenient counterpart of [`parse_edge_list`]: every record strict mode would
 /// reject is skipped and recorded in the [`QuarantineReport`] (same line
 /// number, truncated content), and parsing continues. A mid-stream read
 /// error ends the parse but keeps the prefix, quarantined as
 /// [`QuarantineReason::IoInterrupted`]. Infallible by design — the only
 /// unrecoverable failure (opening the file) happens before parsing.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `LoadConfig::new().ingest(IngestMode::Lenient).parse(reader)` instead"
-)]
-#[must_use]
-pub fn parse_edge_list_lenient<R: BufRead>(reader: R) -> (LoadedGraph, QuarantineReport) {
-    parse_lenient(reader)
-}
-
-/// Shared lenient parser (see the deprecated `parse_edge_list_lenient`
-/// shim for the contract).
 fn parse_lenient<R: BufRead>(reader: R) -> (LoadedGraph, QuarantineReport) {
     let mut report = QuarantineReport::new();
     let mut edges = Vec::new();
@@ -431,7 +375,6 @@ pub fn save_edge_list<P: AsRef<Path>>(path: P, edges: &[Edge]) -> std::io::Resul
 }
 
 #[cfg(test)]
-#[allow(deprecated)]
 mod tests {
     use super::*;
     use crate::fault::FaultPlan;
@@ -444,8 +387,7 @@ mod tests {
         let outcome = LoadConfig::new().parse(Cursor::new(text)).unwrap();
         assert_eq!(outcome.graph, legacy);
         assert!(outcome.quarantine.is_empty());
-        assert_eq!(outcome.store.kind(), StorageKind::Csr);
-        assert_eq!(outcome.store.num_edges(), legacy.edges.len());
+        assert_eq!(outcome.store.edge_count(), legacy.edges.len());
         assert_eq!(outcome.store.edges_vec(), legacy.edges);
     }
 
@@ -461,23 +403,12 @@ mod tests {
     #[test]
     fn load_config_lenient_matches_legacy_lenient() {
         let text = "0 1\nbroken\n8589934592 2\n2 3 NaN\n3 4 2.5\n";
-        let (legacy, legacy_q) = parse_edge_list_lenient(Cursor::new(text));
+        let (legacy, legacy_q) = parse_lenient(Cursor::new(text));
         let outcome =
             LoadConfig::new().ingest(IngestMode::Lenient).parse(Cursor::new(text)).unwrap();
         assert_eq!(outcome.graph, legacy);
         assert_eq!(outcome.quarantine.total(), legacy_q.total());
-        assert_eq!(outcome.store.num_edges(), legacy.edges.len());
-    }
-
-    #[test]
-    fn load_config_hybrid_storage_holds_the_same_edges() {
-        let text = "0 1 2.0\n1 2 1.0\n2 0 3.0\n";
-        let csr = LoadConfig::new().parse(Cursor::new(text)).unwrap();
-        let hybrid =
-            LoadConfig::new().storage(StorageKind::Hybrid).parse(Cursor::new(text)).unwrap();
-        assert_eq!(hybrid.store.kind(), StorageKind::Hybrid);
-        assert_eq!(hybrid.store.edges_vec(), csr.store.edges_vec());
-        assert_eq!(hybrid.store.snapshot(), csr.store.snapshot());
+        assert_eq!(outcome.store.edge_count(), legacy.edges.len());
     }
 
     #[test]
@@ -492,7 +423,7 @@ mod tests {
             .fault_plan(plan)
             .parse(Cursor::new(clean.clone()))
             .unwrap();
-        let (legacy, legacy_q) = parse_edge_list_lenient(plan.corrupted_reader(&clean));
+        let (legacy, legacy_q) = parse_lenient(plan.corrupted_reader(&clean));
         assert_eq!(outcome.graph, legacy);
         assert_eq!(outcome.quarantine.total(), legacy_q.total());
         assert!(!outcome.quarantine.is_empty(), "armed plan must corrupt something");
@@ -626,7 +557,7 @@ mod tests {
         let path = dir.join("roundtrip.txt");
         let edges = vec![Edge::new(0, 1, 2.0), Edge::new(1, 2, 3.5), Edge::new(2, 0, 1.0)];
         save_edge_list(&path, &edges).unwrap();
-        let loaded = load_edge_list(&path).unwrap();
+        let loaded = LoadConfig::new().load(&path).unwrap().graph;
         assert_eq!(loaded.edges, edges);
         assert_eq!(loaded.vertex_count, 3);
         std::fs::remove_file(&path).ok();
@@ -658,17 +589,18 @@ mod tests {
 
     #[test]
     fn load_missing_file_is_io_error() {
-        let err = load_edge_list("/nonexistent/tdgraph/file.txt").unwrap_err();
+        let err = LoadConfig::new().load("/nonexistent/tdgraph/file.txt").unwrap_err();
         assert!(matches!(err, LoadError::Io(_)));
         assert!(err.to_string().contains("i/o error"));
-        assert!(load_edge_list_lenient("/nonexistent/tdgraph/file.txt").is_err());
+        let lenient = LoadConfig::new().ingest(IngestMode::Lenient);
+        assert!(lenient.load("/nonexistent/tdgraph/file.txt").is_err());
     }
 
     #[test]
     fn lenient_parse_quarantines_what_strict_rejects() {
         let text = "0 1\nbroken\n8589934592 2\n2 3 NaN\n3 4 2.5\n";
         assert!(parse_edge_list(Cursor::new(text)).is_err());
-        let (g, q) = parse_edge_list_lenient(Cursor::new(text));
+        let (g, q) = parse_lenient(Cursor::new(text));
         assert_eq!(g.edges.len(), 2, "good records survive");
         assert_eq!(q.total(), 3);
         assert_eq!(q.count(QuarantineReason::MalformedLine), 2, "broken + NaN weight");
@@ -681,7 +613,7 @@ mod tests {
     fn lenient_parse_of_clean_input_matches_strict() {
         let text = "# header\n0 1 2.0\n1 2\n\n2 0 1.5\n";
         let strict = parse_edge_list(Cursor::new(text)).unwrap();
-        let (lenient, q) = parse_edge_list_lenient(Cursor::new(text));
+        let (lenient, q) = parse_lenient(Cursor::new(text));
         assert!(q.is_empty());
         assert_eq!(lenient, strict);
     }
@@ -689,7 +621,7 @@ mod tests {
     #[test]
     fn lenient_parse_keeps_prefix_on_io_fault() {
         let plan = FaultPlan::seeded(0).with_io_error_after(2);
-        let (g, q) = parse_edge_list_lenient(plan.corrupted_reader("0 1\n1 2\n2 3\n3 4\n"));
+        let (g, q) = parse_lenient(plan.corrupted_reader("0 1\n1 2\n2 3\n3 4\n"));
         assert_eq!(g.edges.len(), 2, "prefix before the fault survives");
         assert_eq!(q.count(QuarantineReason::IoInterrupted), 1);
         assert!(q.exemplars()[0].detail.contains("injected"));
@@ -705,7 +637,7 @@ mod tests {
             .with_malformed_lines(0.2)
             .with_truncated_lines(0.2)
             .with_out_of_range_ids(0.2);
-        let (g, q) = parse_edge_list_lenient(plan.corrupted_reader(&clean));
+        let (g, q) = parse_lenient(plan.corrupted_reader(&clean));
         assert!(!q.is_empty(), "armed plan must corrupt something");
         assert!(!g.edges.is_empty(), "clean records must survive");
         assert_eq!(g.edges.len() as u64 + q.total(), 64, "every line is kept or quarantined");

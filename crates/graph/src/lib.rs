@@ -7,10 +7,6 @@
 //!   `Offset_Array` / `Neighbor_Array` representation, §3.3.1),
 //! * [`streaming::StreamingGraph`] — a mutable adjacency store that applies
 //!   [`update::UpdateBatch`]es and materializes CSR snapshots,
-//! * [`store`] — the pluggable [`store::GraphStore`] trait,
-//!   [`store::StorageKind`] selector, and [`store::AnyStore`] enum dispatch,
-//! * [`hybrid`] — the GraphTango-style degree-adaptive
-//!   [`hybrid::HybridStore`] (inline / linear / hash-indexed tiers),
 //! * [`generate`] — seeded (clustered) R-MAT and uniform generators,
 //! * [`io`] — SNAP-format edge-list loading/saving for real datasets,
 //! * [`datasets`] — synthetic stand-ins for the six SNAP datasets of Table 2,
@@ -52,13 +48,11 @@ pub mod datasets;
 pub mod error;
 pub mod fault;
 pub mod generate;
-pub mod hybrid;
 pub mod io;
 pub mod partition;
 pub mod prng;
 pub mod quarantine;
 pub mod stats;
-pub mod store;
 pub mod streaming;
 pub mod types;
 pub mod update;
@@ -66,9 +60,7 @@ pub mod wire;
 
 pub use csr::Csr;
 pub use fault::FaultPlan;
-pub use hybrid::HybridStore;
 pub use quarantine::{IngestMode, QuarantineReason, QuarantineReport};
-pub use store::{AnyStore, GraphStore, StorageKind, StorageRegion, StorageStats, StorageTouch};
 pub use streaming::StreamingGraph;
 pub use types::{EdgeCount, VertexCount, VertexId, Weight};
 pub use update::{EdgeUpdate, UpdateBatch};

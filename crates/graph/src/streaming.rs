@@ -53,10 +53,10 @@ impl Error for ApplyError {}
 /// vertices the incremental computation must treat as affected.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct AppliedBatch {
-    pub(crate) added: Vec<Edge>,
-    pub(crate) deleted: Vec<Edge>,
-    pub(crate) reweighted: Vec<(Edge, Weight)>,
-    pub(crate) affected: Vec<VertexId>,
+    added: Vec<Edge>,
+    deleted: Vec<Edge>,
+    reweighted: Vec<(Edge, Weight)>,
+    affected: Vec<VertexId>,
 }
 
 impl AppliedBatch {
@@ -122,24 +122,6 @@ impl StreamingGraph {
     #[must_use]
     pub fn contains_edge(&self, src: VertexId, dst: VertexId) -> bool {
         self.adjacency.get(src as usize).is_some_and(|row| row.iter().any(|&(n, _)| n == dst))
-    }
-
-    /// The weight of edge `(src, dst)`, when present.
-    #[must_use]
-    pub fn edge_weight(&self, src: VertexId, dst: VertexId) -> Option<Weight> {
-        self.adjacency.get(src as usize)?.iter().find_map(|&(n, w)| (n == dst).then_some(w))
-    }
-
-    /// Out-degree of `v` (0 for out-of-range ids).
-    #[must_use]
-    pub fn degree(&self, v: VertexId) -> usize {
-        self.adjacency.get(v as usize).map_or(0, Vec::len)
-    }
-
-    /// The out-edges of `v` in insertion (push / swap-remove) order.
-    #[must_use]
-    pub fn out_edges(&self, v: VertexId) -> &[(VertexId, Weight)] {
-        self.adjacency.get(v as usize).map_or(&[], Vec::as_slice)
     }
 
     /// Grows the vertex set so `vertex` is addressable.

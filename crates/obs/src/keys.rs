@@ -100,27 +100,6 @@ pub const ORACLE_CHECKS: &str = "oracle.checks";
 /// Differential-oracle comparisons that found a mismatch.
 pub const ORACLE_MISMATCHES: &str = "oracle.mismatches";
 
-// ---------------------------------------------------------------------
-// Graph-store keys (`storage.*`): tier occupancy and transitions of the
-// degree-adaptive hybrid store. Like `quarantine.*`, the whole group is
-// emitted only when non-zero — the CSR baseline has no tiers, so its
-// snapshots stay byte-identical to the pre-storage-axis era.
-// ---------------------------------------------------------------------
-
-/// Vertices resident in the inline tier at the end of the run (gauge-like
-/// counter, end-of-run value).
-pub const STORAGE_TIER_INLINE: &str = "storage.tier.inline";
-/// Vertices resident in the linear-buffer tier at the end of the run.
-pub const STORAGE_TIER_LINEAR: &str = "storage.tier.linear";
-/// Vertices resident in the hash-indexed tier at the end of the run.
-pub const STORAGE_TIER_INDEXED: &str = "storage.tier.indexed";
-/// Tier promotions performed over the whole run (inline→linear,
-/// linear→indexed).
-pub const STORAGE_PROMOTIONS: &str = "storage.promotions";
-/// Tier demotions performed over the whole run (indexed→linear,
-/// linear→inline).
-pub const STORAGE_DEMOTIONS: &str = "storage.demotions";
-
 /// Per-shard replay telemetry: access events replayed by a shard's
 /// private-cache workers (host-parallel execution only).
 pub const SHARD_EVENTS_REPLAYED: &str = "sim.shard.events_replayed";
@@ -128,12 +107,11 @@ pub const SHARD_EVENTS_REPLAYED: &str = "sim.shard.events_replayed";
 /// the sequential reduction pass.
 pub const SHARD_BOUNDARY_FILLS: &str = "sim.shard.boundary_fills";
 /// Per-shard replay telemetry: private-hit boundary touches a shard
-/// forwarded to the reduction pass (pre-encoding event count).
+/// forwarded to the reduction pass.
 pub const SHARD_BOUNDARY_TOUCHES: &str = "sim.shard.boundary_touches";
-/// Per-shard replay telemetry: touch-stream bytes after the run's
-/// boundary-event encoding (8 B/touch packed, 16 B/run run-length).
-/// Thread-count and lane-count independent: runs never span a core's
-/// stream, so totals depend only on the access schedule.
+/// Per-shard replay telemetry: touch-stream bytes (8 B per packed touch).
+/// Thread-count and lane-count independent: totals depend only on the
+/// access schedule.
 pub const SHARD_TOUCH_BYTES_ENCODED: &str = "sim.shard.touch_bytes_encoded";
 /// Per-shard replay telemetry: directory invalidation candidates probed.
 pub const SHARD_INVAL_PROBES: &str = "sim.shard.inval_probes";

@@ -56,14 +56,6 @@
 //! timeline sums, hit/miss counts) is an order-independent sum folded at
 //! phase boundaries, the merged result stays byte-identical to the
 //! serial walk for every lane count.
-//!
-//! # Boundary-event encoding
-//!
-//! `.event_encoding(EventEncoding::RunLength)` collapses consecutive
-//! touches to the same line (adjacent global sequence numbers, one core)
-//! into one 16 B masked [`TouchRun`]; fills stay 24 B. Runs never span a
-//! core's segment-log boundary, so encoded byte counts are
-//! thread-count-independent telemetry.
 
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
@@ -79,88 +71,12 @@ use crate::memory::DramModel;
 use crate::noc::Mesh;
 use crate::stats::{Actor, LineUtilization, PhaseKind, TimeBreakdown};
 
-/// How a machine executes: the classic single-thread walk, or the
-/// record/replay pipeline over host worker threads.
-#[deprecated(note = "superseded by `ExecConfig`: replace `ExecMode::Serial` with \
-            `ExecConfig::serial()` and `ExecMode::Sharded(n)` with \
-            `ExecConfig::serial().shards(n)` (or convert via `From`)")]
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ExecMode {
-    /// Everything on the calling thread (the reference path).
-    Serial,
-    /// `Sharded(n)`: `n ≥ 1` auxiliary host worker threads next to the
-    /// recording thread. `n == 1` replays and reduces on one combined
-    /// worker; `n ≥ 2` uses `n - 1` replay shards plus a dedicated
-    /// reduction thread. Output is byte-identical to serial for every
-    /// `n`.
-    Sharded(usize),
-}
-
-// Manual impl: deriving `Default` on a deprecated type trips the
-// deprecation lint inside the derive expansion.
-#[allow(deprecated, clippy::derivable_impls)]
-impl Default for ExecMode {
-    fn default() -> Self {
-        ExecMode::Serial
-    }
-}
-
-#[allow(deprecated)]
-impl ExecMode {
-    /// Whether this mode runs the sharded pipeline.
-    #[must_use]
-    pub fn is_sharded(self) -> bool {
-        matches!(self, ExecMode::Sharded(_))
-    }
-
-    /// Number of replay shards the mode uses (0 for serial).
-    #[must_use]
-    pub fn replay_shards(self) -> usize {
-        match self {
-            ExecMode::Serial => 0,
-            ExecMode::Sharded(n) => n.max(2) - 1,
-        }
-    }
-
-    /// Stable lowercase label (`serial`, `sharded4`) for reports and
-    /// bench output.
-    #[must_use]
-    pub fn label(self) -> String {
-        ExecConfig::from(self).label()
-    }
-}
-
-/// Wire encoding for the 8 B packed-touch boundary stream.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum EventEncoding {
-    /// One 8 B packed word per private-hit touch (the PR-5 format).
-    #[default]
-    Packed,
-    /// Run-length: consecutive touches to the same line (adjacent global
-    /// sequence numbers, necessarily one core) collapse into a single
-    /// 16 B [`TouchRun`] carrying the OR of their word masks. Fills stay
-    /// 24 B. Wins on streaming scans that walk a line word by word.
-    RunLength,
-}
-
-impl EventEncoding {
-    /// Stable lowercase label (`packed`, `rle`) for reports and bench
-    /// output.
-    #[must_use]
-    pub fn label(self) -> &'static str {
-        match self {
-            EventEncoding::Packed => "packed",
-            EventEncoding::RunLength => "rle",
-        }
-    }
-}
-
 /// Hard cap on [`ExecConfig::reduce_lanes`]: lanes partition whole DRRIP
 /// duel banks, so more lanes than banks could never get work.
 pub const MAX_REDUCE_LANES: usize = crate::cache::DUEL_BANKS;
 
-/// How a machine executes, as one value: replay-shard worker count,
-/// reducer lane count, and boundary-event encoding.
+/// How a machine executes, as one value: replay-shard worker count and
+/// reducer lane count.
 ///
 /// The default (`ExecConfig::serial()`) is the single-thread reference
 /// walk. `.shards(n)` with `n >= 1` switches to the record/replay
@@ -172,19 +88,15 @@ pub const MAX_REDUCE_LANES: usize = crate::cache::DUEL_BANKS;
 /// wall-clock and memory.
 ///
 /// ```
-/// use tdgraph_sim::{EventEncoding, ExecConfig};
-/// let cfg = ExecConfig::serial()
-///     .shards(4)
-///     .reduce_lanes(2)
-///     .event_encoding(EventEncoding::RunLength);
-/// assert_eq!(cfg.label(), "sharded4x2-rle");
+/// use tdgraph_sim::ExecConfig;
+/// let cfg = ExecConfig::serial().shards(4).reduce_lanes(2);
+/// assert_eq!(cfg.label(), "sharded4x2");
 /// assert_eq!(ExecConfig::default(), ExecConfig::serial());
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ExecConfig {
     workers: usize,
     lanes: usize,
-    encoding: EventEncoding,
 }
 
 impl Default for ExecConfig {
@@ -197,7 +109,7 @@ impl ExecConfig {
     /// The single-thread reference walk.
     #[must_use]
     pub const fn serial() -> Self {
-        Self { workers: 0, lanes: 1, encoding: EventEncoding::Packed }
+        Self { workers: 0, lanes: 1 }
     }
 
     /// Sets the auxiliary replay worker count; `0` means serial.
@@ -212,13 +124,6 @@ impl ExecConfig {
     #[must_use]
     pub const fn reduce_lanes(mut self, k: usize) -> Self {
         self.lanes = k;
-        self
-    }
-
-    /// Selects the boundary-event encoding.
-    #[must_use]
-    pub const fn event_encoding(mut self, encoding: EventEncoding) -> Self {
-        self.encoding = encoding;
         self
     }
 
@@ -238,12 +143,6 @@ impl ExecConfig {
     #[must_use]
     pub fn lanes(self) -> usize {
         self.lanes
-    }
-
-    /// The boundary-event encoding.
-    #[must_use]
-    pub fn encoding(self) -> EventEncoding {
-        self.encoding
     }
 
     /// Number of replay shards the config spawns (0 for serial).
@@ -271,8 +170,7 @@ impl ExecConfig {
     }
 
     /// Stable lowercase label for reports and bench output: `serial`,
-    /// `sharded4`, `sharded4x2`, with an `-rle` suffix under
-    /// [`EventEncoding::RunLength`].
+    /// `sharded4`, `sharded4x2`.
     #[must_use]
     pub fn label(self) -> String {
         if !self.is_sharded() {
@@ -282,23 +180,7 @@ impl ExecConfig {
         if self.lanes > 1 {
             s.push_str(&format!("x{}", self.lanes));
         }
-        if matches!(self.encoding, EventEncoding::RunLength) {
-            s.push_str("-rle");
-        }
         s
-    }
-}
-
-#[allow(deprecated)]
-impl From<ExecMode> for ExecConfig {
-    /// `Serial` maps to [`ExecConfig::serial`]; `Sharded(n)` to
-    /// `.shards(n)` (so the previously rejected `Sharded(0)` now
-    /// collapses to serial).
-    fn from(mode: ExecMode) -> Self {
-        match mode {
-            ExecMode::Serial => ExecConfig::serial(),
-            ExecMode::Sharded(n) => ExecConfig::serial().shards(n),
-        }
     }
 }
 
@@ -319,20 +201,16 @@ const TOUCH_LINE_BITS: u32 = 42;
 const TOUCH_LINE_MASK: u64 = (1 << TOUCH_LINE_BITS) - 1;
 const TOUCH_WORD_SHIFT: u32 = TOUCH_LINE_BITS;
 const TOUCH_REL_SHIFT: u32 = TOUCH_LINE_BITS + 4;
-/// Scratch-slot tag discriminating a fill reference from a touch slot
-/// (touch slots only populate bits below [`RUN_TAG`]).
+/// Scratch-slot tag discriminating a fill reference from a touch slot.
+/// Touch slots are masked to [`TOUCH_PAYLOAD_MASK`] so bit 63 stays free.
 const FILL_TAG: u64 = 1 << 63;
-/// Scratch-slot tag for the head of a [`TouchRun`]: bit 62 set, run mask
-/// in bits 42..58, line in bits 0..42. Plain touch slots are masked to
-/// [`TOUCH_PAYLOAD_MASK`] so bits 62/63 stay free for tags.
-const RUN_TAG: u64 = 1 << 62;
 /// The word + line payload of a packed touch (bits 0..46); the sequence
 /// number above it is consumed by the scatter and must not leak into the
-/// slot, where bit 62 discriminates runs.
+/// slot, where bit 63 discriminates fills.
 const TOUCH_PAYLOAD_MASK: u64 = (1 << TOUCH_REL_SHIFT) - 1;
-/// Scratch sentinel for a sequence slot carrying no event for this lane
-/// (or covered by a preceding run). As a fill reference it would name
-/// shard `0x3FFF_FFFF`, index `0xFFFF_FFFF` — unreachable.
+/// Scratch sentinel for a sequence slot carrying no event for this lane.
+/// As a fill reference it would name shard `0x3FFF_FFFF`, index
+/// `0xFFFF_FFFF` — unreachable.
 const EMPTY_SLOT: u64 = u64::MAX;
 
 /// The reducer lane owning `line`: line → LLC set → DRRIP duel bank →
@@ -343,94 +221,6 @@ const EMPTY_SLOT: u64 = u64::MAX;
 /// or touch-mask entry.
 pub(crate) fn lane_of_line(line: u64, llc_sets: usize, lanes: usize) -> usize {
     ((line % llc_sets as u64) as usize % crate::cache::DUEL_BANKS) % lanes
-}
-
-/// One run-length-encoded group of consecutive touches to the same line:
-/// global sequence numbers `rel..rel + len`, all from one core, with the
-/// OR of their word masks. Exactly 16 B on the wire (vs `8 * len` raw).
-///
-/// Because the member sequence numbers are *globally* consecutive, no
-/// other event — on any line, from any core — lands between them, so LLC
-/// residency cannot change mid-run and applying the combined mask at the
-/// head slot is byte-exact.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TouchRun {
-    /// Line address (fits in [`MAX_TOUCH_LINE`]).
-    pub line: u64,
-    /// Segment-relative sequence number of the first touch.
-    pub rel: u32,
-    /// Number of touches in the run (`>= 1`; capped at `u16::MAX`).
-    pub len: u16,
-    /// OR of the members' `1 << word` bits.
-    pub mask: u16,
-}
-
-/// Streaming run-length encoder for a single core's touch stream.
-/// Flushed at core boundaries so runs never merge across cores and
-/// encoded byte counts stay thread-count independent.
-#[derive(Debug, Default)]
-struct RunEncoder {
-    runs: Vec<TouchRun>,
-    pending: Option<TouchRun>,
-}
-
-impl RunEncoder {
-    fn push(&mut self, rel: u32, word: u8, line: u64) {
-        let bit = 1u16 << (word & 0xF);
-        if let Some(run) = &mut self.pending {
-            if run.line == line
-                && run.len < u16::MAX
-                && run.rel.wrapping_add(u32::from(run.len)) == rel
-            {
-                run.mask |= bit;
-                run.len += 1;
-                return;
-            }
-            self.runs.push(*run);
-        }
-        self.pending = Some(TouchRun { line, rel, len: 1, mask: bit });
-    }
-
-    /// Closes the open run (core or segment boundary).
-    fn flush(&mut self) {
-        if let Some(run) = self.pending.take() {
-            self.runs.push(run);
-        }
-    }
-
-    fn into_runs(mut self) -> Vec<TouchRun> {
-        self.flush();
-        self.runs
-    }
-}
-
-/// Run-length encodes a `(rel, word, line)` touch stream (the format the
-/// replay workers use internally under [`EventEncoding::RunLength`]).
-/// Entries are consumed in order; a run extends only over consecutive
-/// `rel`s on the same line.
-#[must_use]
-pub fn encode_touch_runs(touches: &[(u32, u8, u64)]) -> Vec<TouchRun> {
-    let mut enc = RunEncoder::default();
-    for &(rel, word, line) in touches {
-        enc.push(rel, word, line);
-    }
-    enc.into_runs()
-}
-
-/// Expands runs back into one `(rel, line, mask)` entry per original
-/// touch. Individual word bits are not recoverable — every member of a
-/// run carries the run's combined mask, which is exactly the information
-/// the reduction consumes (see [`TouchRun`] for why that is lossless for
-/// the machine state).
-#[must_use]
-pub fn decode_touch_runs(runs: &[TouchRun]) -> Vec<(u32, u64, u16)> {
-    let mut out = Vec::with_capacity(runs.iter().map(|r| usize::from(r.len)).sum());
-    for r in runs {
-        for i in 0..u32::from(r.len) {
-            out.push((r.rel + i, r.line, r.mask));
-        }
-    }
-    out
 }
 
 /// The largest line address a packed touch can represent; the pipeline
@@ -490,19 +280,13 @@ struct SegmentInput {
     invals: Vec<Vec<InvalEvent>>,
 }
 
-/// A shard's touch stream for one lane, in the selected wire encoding.
-enum TouchStream {
-    /// 8 B packed touches (scattered by their embedded sequence number,
-    /// so cross-core order is irrelevant).
-    Packed(Vec<u64>),
-    /// 16 B run-length groups (see [`TouchRun`]).
-    Runs(Vec<TouchRun>),
-}
-
 /// The boundary events one replay shard emits *for one reducer lane*:
 /// only events whose line hashes into the lane's key range.
+#[derive(Default)]
 struct LaneEvents {
-    touches: TouchStream,
+    /// 8 B packed touches (scattered by their embedded sequence number,
+    /// so cross-core order is irrelevant).
+    touches: Vec<u64>,
     /// LLC fill events, the rare heavyweight boundary crossings.
     fills: Vec<BoundaryEvent>,
 }
@@ -518,69 +302,12 @@ struct SegmentOutput {
     l2_hits: u64,
     noc_hop_cycles: u64,
     invalidations: u64,
-    /// Telemetry: events replayed / fills emitted / invalidation probes.
+    /// Telemetry: events replayed / fills emitted / invalidation probes /
+    /// touches emitted.
     events_replayed: u64,
     fill_count: u64,
     inval_probes: u64,
-    /// Raw touch count and post-encoding touch bytes across all lanes.
     touch_count: u64,
-    touch_bytes_encoded: u64,
-}
-
-/// Accumulates one lane's share of a shard's boundary stream during
-/// replay, applying the wire encoding on the fly.
-struct LaneCollector {
-    touches: TouchCollector,
-    fills: Vec<BoundaryEvent>,
-    raw_touches: u64,
-}
-
-enum TouchCollector {
-    Packed(Vec<u64>),
-    Runs(RunEncoder),
-}
-
-impl LaneCollector {
-    fn new(encoding: EventEncoding) -> Self {
-        let touches = match encoding {
-            EventEncoding::Packed => TouchCollector::Packed(Vec::new()),
-            EventEncoding::RunLength => TouchCollector::Runs(RunEncoder::default()),
-        };
-        Self { touches, fills: Vec::new(), raw_touches: 0 }
-    }
-
-    fn push_touch(&mut self, rel: u32, word: u8, line: u64) {
-        self.raw_touches += 1;
-        match &mut self.touches {
-            TouchCollector::Packed(v) => v.push(pack_touch(rel, word, line)),
-            TouchCollector::Runs(enc) => enc.push(rel, word, line),
-        }
-    }
-
-    /// Ends the current core's stream: runs must never span cores, or
-    /// encoded byte counts would depend on the shard grouping.
-    fn end_core(&mut self) {
-        if let TouchCollector::Runs(enc) = &mut self.touches {
-            enc.flush();
-        }
-    }
-
-    /// Finishes the segment, returning the wire events plus
-    /// `(raw_touches, encoded_bytes)`.
-    fn finish(self) -> (LaneEvents, u64, u64) {
-        let (touches, bytes) = match self.touches {
-            TouchCollector::Packed(v) => {
-                let bytes = 8 * v.len() as u64;
-                (TouchStream::Packed(v), bytes)
-            }
-            TouchCollector::Runs(enc) => {
-                let runs = enc.into_runs();
-                let bytes = (std::mem::size_of::<TouchRun>() * runs.len()) as u64;
-                (TouchStream::Runs(runs), bytes)
-            }
-        };
-        (LaneEvents { touches, fills: self.fills }, self.raw_touches, bytes)
-    }
 }
 
 /// A replay shard: persistent per-core private caches plus the pure
@@ -599,13 +326,12 @@ struct ShardReplayer {
     /// [`lane_of_line`] over `llc_sets`.
     lanes: usize,
     llc_sets: usize,
-    encoding: EventEncoding,
 }
 
 impl ShardReplayer {
     fn replay_segment(&mut self, input: &SegmentInput) -> SegmentOutput {
-        let mut collectors: Vec<LaneCollector> =
-            (0..self.lanes).map(|_| LaneCollector::new(self.encoding)).collect();
+        let mut lane_events: Vec<LaneEvents> =
+            (0..self.lanes).map(|_| LaneEvents::default()).collect();
         let mut out = SegmentOutput {
             lanes: Vec::new(),
             contrib: Vec::with_capacity(self.cores.len()),
@@ -617,7 +343,6 @@ impl ShardReplayer {
             fill_count: 0,
             inval_probes: 0,
             touch_count: 0,
-            touch_bytes_encoded: 0,
         };
         let ShardReplayer {
             cores,
@@ -664,7 +389,7 @@ impl ShardReplayer {
                             latency += noc + *llc_lat;
                             out.fill_count += 1;
                             let lane = lane_of_line(ev.line, *llc_sets, *lanes);
-                            collectors[lane].fills.push(BoundaryEvent {
+                            lane_events[lane].fills.push(BoundaryEvent {
                                 rel: ev.rel,
                                 base_lat: u32::try_from(latency).unwrap_or(u32::MAX),
                                 meta: ev.meta | ((core as u32) << CORE_SHIFT),
@@ -681,8 +406,9 @@ impl ShardReplayer {
                     } else {
                         core_cyc += latency;
                     }
+                    out.touch_count += 1;
                     let lane = lane_of_line(ev.line, *llc_sets, *lanes);
-                    collectors[lane].push_touch(ev.rel, word, ev.line);
+                    lane_events[lane].touches.push(pack_touch(ev.rel, word, ev.line));
                 } else if v < invals.len() {
                     let inv = invals[v];
                     v += 1;
@@ -700,16 +426,8 @@ impl ShardReplayer {
                 }
             }
             out.contrib.push((core as u32, core_cyc, accel_cyc));
-            for c in &mut collectors {
-                c.end_core();
-            }
         }
-        for c in collectors {
-            let (events, raw, bytes) = c.finish();
-            out.touch_count += raw;
-            out.touch_bytes_encoded += bytes;
-            out.lanes.push(events);
-        }
+        out.lanes = lane_events;
         out
     }
 }
@@ -845,9 +563,9 @@ struct LaneState {
     /// DRAM traffic of the open phase, folded at the next phase mark.
     phase_reads: u64,
     phase_writebacks: u64,
-    /// Dense per-segment sequence scratch: slot `rel` holds a plain
-    /// touch payload (tags clear), a run head ([`RUN_TAG`]), a fill
-    /// reference (`FILL_TAG | shard << 32 | index`), or [`EMPTY_SLOT`].
+    /// Dense per-segment sequence scratch: slot `rel` holds a touch
+    /// payload (tag clear), a fill reference
+    /// (`FILL_TAG | shard << 32 | index`), or [`EMPTY_SLOT`].
     scratch: Vec<u64>,
     /// Wall-clock this lane spent reducing (perf telemetry only).
     busy: std::time::Duration,
@@ -905,18 +623,8 @@ impl LaneState {
         self.scratch.clear();
         self.scratch.resize(len as usize, EMPTY_SLOT);
         for (shard, ev) in per_shard.iter().enumerate() {
-            match &ev.touches {
-                TouchStream::Packed(touches) => {
-                    for &t in touches {
-                        self.scratch[(t >> TOUCH_REL_SHIFT) as usize] = t & TOUCH_PAYLOAD_MASK;
-                    }
-                }
-                TouchStream::Runs(runs) => {
-                    for r in runs {
-                        self.scratch[r.rel as usize] =
-                            RUN_TAG | (u64::from(r.mask) << TOUCH_WORD_SHIFT) | r.line;
-                    }
-                }
+            for &t in &ev.touches {
+                self.scratch[(t >> TOUCH_REL_SHIFT) as usize] = t & TOUCH_PAYLOAD_MASK;
             }
             let tag = FILL_TAG | ((shard as u64) << 32);
             for (i, f) in ev.fills.iter().enumerate() {
@@ -926,19 +634,14 @@ impl LaneState {
         for idx in 0..self.scratch.len() {
             let slot = self.scratch[idx];
             if slot == EMPTY_SLOT {
-                // Another lane's event, or covered by a preceding run.
+                // Another lane's event.
                 continue;
             }
             if slot & FILL_TAG == 0 {
-                // A private-hit touch (single or run head): propagate
-                // word usage to the LLC copy (if resident). Never
-                // mutates replacement state, so it only needs the O(1)
-                // mask index, not a way scan.
-                let bits = if slot & RUN_TAG != 0 {
-                    ((slot >> TOUCH_WORD_SHIFT) & 0xFFFF) as u16
-                } else {
-                    1u16 << ((slot >> TOUCH_WORD_SHIFT) & 0xF)
-                };
+                // A private-hit touch: propagate word usage to the LLC
+                // copy (if resident). Never mutates replacement state, so
+                // it only needs the O(1) mask index, not a way scan.
+                let bits = 1u16 << ((slot >> TOUCH_WORD_SHIFT) & 0xF);
                 self.touch_masks.or_if_present(slot & TOUCH_LINE_MASK, bits);
                 continue;
             }
@@ -1018,7 +721,6 @@ struct ShardCounters {
     inval_probes: u64,
     invalidations: u64,
     touches: u64,
-    touch_bytes_encoded: u64,
 }
 
 fn export_shard_telemetry(counters: &[ShardCounters]) -> (Snapshot, Vec<(u64, Snapshot)>) {
@@ -1028,7 +730,7 @@ fn export_shard_telemetry(counters: &[ShardCounters]) -> (Snapshot, Vec<(u64, Sn
         shard.counter(keys::SHARD_EVENTS_REPLAYED, c.events_replayed);
         shard.counter(keys::SHARD_BOUNDARY_FILLS, c.fills);
         shard.counter(keys::SHARD_BOUNDARY_TOUCHES, c.touches);
-        shard.counter(keys::SHARD_TOUCH_BYTES_ENCODED, c.touch_bytes_encoded);
+        shard.counter(keys::SHARD_TOUCH_BYTES_ENCODED, 8 * c.touches);
         shard.counter(keys::SHARD_INVAL_PROBES, c.inval_probes);
         shard.counter(keys::SHARD_INVALIDATIONS, c.invalidations);
         shard.finish();
@@ -1039,18 +741,15 @@ fn export_shard_telemetry(counters: &[ShardCounters]) -> (Snapshot, Vec<(u64, Sn
 fn build_report(
     counters: &[ShardCounters],
     lanes: usize,
-    encoding: EventEncoding,
     reduce_wall: Vec<std::time::Duration>,
 ) -> ExecPipelineReport {
     let touch_events: u64 = counters.iter().map(|c| c.touches).sum();
     let fill_events: u64 = counters.iter().map(|c| c.fills).sum();
     ExecPipelineReport {
         reduce_lanes: lanes,
-        encoding,
         reduce_wall,
         touch_events,
-        touch_bytes_raw: 8 * touch_events,
-        touch_bytes_encoded: counters.iter().map(|c| c.touch_bytes_encoded).sum(),
+        touch_bytes: 8 * touch_events,
         fill_events,
         fill_bytes: 24 * fill_events,
         setup: std::time::Duration::ZERO,
@@ -1073,17 +772,10 @@ struct Reducer {
     contrib_core: Vec<u64>,
     contrib_accel: Vec<u64>,
     shard_counters: Vec<ShardCounters>,
-    encoding: EventEncoding,
 }
 
 impl Reducer {
-    fn new(
-        llc: SetAssocCache,
-        dram: DramModel,
-        cfg: &SimConfig,
-        shards: usize,
-        encoding: EventEncoding,
-    ) -> Self {
+    fn new(llc: SetAssocCache, dram: DramModel, cfg: &SimConfig, shards: usize) -> Self {
         Self {
             lane: LaneState::new(0, 1, llc, cfg),
             dram,
@@ -1095,7 +787,6 @@ impl Reducer {
             contrib_core: vec![0; cfg.cores],
             contrib_accel: vec![0; cfg.cores],
             shard_counters: vec![ShardCounters::default(); shards],
-            encoding,
         }
     }
 
@@ -1117,7 +808,6 @@ impl Reducer {
             c.inval_probes += out.inval_probes;
             c.invalidations += out.invalidations;
             c.touches += out.touch_count;
-            c.touch_bytes_encoded += out.touch_bytes_encoded;
             for &(core, cc, ac) in &out.contrib {
                 self.contrib_core[core as usize] += cc;
                 self.contrib_accel[core as usize] += ac;
@@ -1157,7 +847,7 @@ impl Reducer {
         let masks = fin.touch_masks;
         llc.sync_touched(|line| masks.get(line));
         let (shard_telemetry, shard_snapshots) = export_shard_telemetry(&self.shard_counters);
-        let report = build_report(&self.shard_counters, 1, self.encoding, vec![fin.busy]);
+        let report = build_report(&self.shard_counters, 1, vec![fin.busy]);
         FinalState {
             llc,
             dram: self.dram,
@@ -1191,7 +881,6 @@ enum LaneMsg {
 struct Coordinator {
     lanes: usize,
     llc_sets: usize,
-    encoding: EventEncoding,
     dram: DramModel,
     breakdown: TimeBreakdown,
     l1_hits: u64,
@@ -1234,7 +923,6 @@ impl Coordinator {
         cfg: &SimConfig,
         shards: usize,
         lanes: usize,
-        encoding: EventEncoding,
     ) -> Self {
         let llc_sets = llc.set_count();
         let mut lane_txs = Vec::with_capacity(lanes);
@@ -1257,7 +945,6 @@ impl Coordinator {
         Self {
             lanes,
             llc_sets,
-            encoding,
             dram,
             breakdown: TimeBreakdown::default(),
             l1_hits: 0,
@@ -1290,7 +977,6 @@ impl Coordinator {
             c.inval_probes += out.inval_probes;
             c.invalidations += out.invalidations;
             c.touches += out.touch_count;
-            c.touch_bytes_encoded += out.touch_bytes_encoded;
             for &(core, cc, ac) in &out.contrib {
                 self.contrib_core[core as usize] += cc;
                 self.contrib_accel[core as usize] += ac;
@@ -1375,7 +1061,7 @@ impl Coordinator {
         }
         llc.sync_touched(|line| masks[lane_of_line(line, llc_sets, lanes)].get(line));
         let (shard_telemetry, shard_snapshots) = export_shard_telemetry(&self.shard_counters);
-        let report = build_report(&self.shard_counters, lanes, self.encoding, reduce_wall);
+        let report = build_report(&self.shard_counters, lanes, reduce_wall);
         FinalState {
             llc,
             dram: self.dram,
@@ -1430,16 +1116,12 @@ impl ReduceBackend {
 pub struct ExecPipelineReport {
     /// Reducer lanes the run used (1 = single sequential reducer).
     pub reduce_lanes: usize,
-    /// Boundary-event encoding the run used.
-    pub encoding: EventEncoding,
     /// Wall-clock each lane spent reducing, in lane order.
     pub reduce_wall: Vec<std::time::Duration>,
     /// Private-hit touches crossing the replay → reduce boundary.
     pub touch_events: u64,
-    /// Touch stream bytes at the raw 8 B/touch packing.
-    pub touch_bytes_raw: u64,
-    /// Touch stream bytes after the selected encoding.
-    pub touch_bytes_encoded: u64,
+    /// Touch stream bytes (8 B per packed touch).
+    pub touch_bytes: u64,
     /// LLC fill events crossing the boundary (always 24 B each).
     pub fill_events: u64,
     /// Fill stream bytes.
@@ -1535,7 +1217,6 @@ impl Pipeline {
     ) -> Self {
         let workers = exec.workers();
         let lanes = exec.lanes();
-        let encoding = exec.encoding();
         assert!(workers >= 1, "sharded execution needs at least one worker thread");
         if let Err(e) = exec.validate() {
             panic!("invalid ExecConfig: {e}");
@@ -1570,7 +1251,6 @@ impl Pipeline {
                 mlp: cfg.accel_mlp,
                 lanes,
                 llc_sets,
-                encoding,
             }
         };
 
@@ -1578,7 +1258,7 @@ impl Pipeline {
         let senders;
         let final_handle;
         if workers == 1 && lanes == 1 {
-            let reducer = Reducer::new(llc, dram, cfg, replay_shards, encoding);
+            let reducer = Reducer::new(llc, dram, cfg, replay_shards);
             let mut shard = make_replayer(&shard_cores[0], &mut l1_by_core, &mut l2_by_core);
             let (tx, rx) = mpsc::sync_channel::<CombinedMsg>(8);
             let handle = std::thread::Builder::new()
@@ -1589,13 +1269,7 @@ impl Pipeline {
             final_handle = Some(handle);
         } else {
             let backend = if lanes == 1 {
-                ReduceBackend::Single(Box::new(Reducer::new(
-                    llc,
-                    dram,
-                    cfg,
-                    replay_shards,
-                    encoding,
-                )))
+                ReduceBackend::Single(Box::new(Reducer::new(llc, dram, cfg, replay_shards)))
             } else {
                 ReduceBackend::Laned(Box::new(Coordinator::new(
                     llc,
@@ -1603,7 +1277,6 @@ impl Pipeline {
                     cfg,
                     replay_shards,
                     lanes,
-                    encoding,
                 )))
             };
             let (red_tx, red_rx) = mpsc::sync_channel::<ReduceMsg>(replay_shards * 4 + 8);
@@ -1968,19 +1641,9 @@ mod tests {
 
         let report = sharded.exec_report().expect("sharded run has a pipeline report");
         assert_eq!(report.reduce_lanes, exec.lanes());
-        assert_eq!(report.encoding, exec.encoding());
         assert_eq!(report.reduce_wall.len(), exec.lanes());
-        assert_eq!(report.touch_bytes_raw, 8 * report.touch_events);
+        assert_eq!(report.touch_bytes, 8 * report.touch_events);
         assert_eq!(report.fill_bytes, 24 * report.fill_events);
-        match exec.encoding() {
-            EventEncoding::Packed => {
-                assert_eq!(report.touch_bytes_encoded, report.touch_bytes_raw);
-            }
-            EventEncoding::RunLength => {
-                // 16 B runs of >= 1 touch each: never more than 2x raw.
-                assert!(report.touch_bytes_encoded <= 2 * report.touch_bytes_raw);
-            }
-        }
     }
 
     #[test]
@@ -2023,23 +1686,6 @@ mod tests {
     #[test]
     fn laned_single_worker_matches_serial() {
         machines_agree(ExecConfig::serial().shards(1).reduce_lanes(2));
-    }
-
-    #[test]
-    fn run_length_combined_matches_serial() {
-        machines_agree(ExecConfig::serial().shards(1).event_encoding(EventEncoding::RunLength));
-    }
-
-    #[test]
-    fn run_length_split_matches_serial() {
-        machines_agree(ExecConfig::serial().shards(4).event_encoding(EventEncoding::RunLength));
-    }
-
-    #[test]
-    fn run_length_laned_matches_serial() {
-        machines_agree(
-            ExecConfig::serial().shards(4).reduce_lanes(4).event_encoding(EventEncoding::RunLength),
-        );
     }
 
     #[test]
@@ -2107,87 +1753,23 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
-    fn exec_mode_labels_and_shards() {
-        assert_eq!(ExecMode::Serial.label(), "serial");
-        assert_eq!(ExecMode::Sharded(4).label(), "sharded4");
-        assert_eq!(ExecMode::Serial.replay_shards(), 0);
-        assert_eq!(ExecMode::Sharded(1).replay_shards(), 1);
-        assert_eq!(ExecMode::Sharded(2).replay_shards(), 1);
-        assert_eq!(ExecMode::Sharded(4).replay_shards(), 3);
-        assert!(ExecMode::Sharded(1).is_sharded());
-        assert!(!ExecMode::Serial.is_sharded());
-    }
-
-    #[test]
-    #[allow(deprecated)]
     fn exec_config_builder_labels_and_conversion() {
         assert_eq!(ExecConfig::serial().label(), "serial");
         assert_eq!(ExecConfig::default(), ExecConfig::serial());
         assert_eq!(ExecConfig::serial().shards(4).label(), "sharded4");
         assert_eq!(ExecConfig::serial().shards(4).reduce_lanes(2).label(), "sharded4x2");
-        assert_eq!(
-            ExecConfig::serial()
-                .shards(4)
-                .reduce_lanes(2)
-                .event_encoding(EventEncoding::RunLength)
-                .label(),
-            "sharded4x2-rle"
-        );
-        assert_eq!(
-            ExecConfig::serial().shards(1).event_encoding(EventEncoding::RunLength).label(),
-            "sharded1-rle"
-        );
-        // Lane/encoding knobs never change a serial label.
+        // The lane knob never changes a serial label.
         assert_eq!(ExecConfig::serial().reduce_lanes(4).label(), "serial");
         assert_eq!(ExecConfig::serial().replay_shards(), 0);
         assert_eq!(ExecConfig::serial().shards(1).replay_shards(), 1);
         assert_eq!(ExecConfig::serial().shards(4).replay_shards(), 3);
         assert!(ExecConfig::serial().shards(1).is_sharded());
         assert!(!ExecConfig::serial().is_sharded());
-        // `shards(0)` collapses to serial, matching `From<ExecMode>`.
+        // `shards(0)` collapses to serial.
         assert!(!ExecConfig::serial().shards(0).is_sharded());
-        assert_eq!(ExecConfig::from(ExecMode::Serial), ExecConfig::serial());
-        assert_eq!(ExecConfig::from(ExecMode::Sharded(4)), ExecConfig::serial().shards(4));
-        assert_eq!(ExecConfig::from(ExecMode::Sharded(0)), ExecConfig::serial().shards(0));
         assert!(ExecConfig::serial().validate().is_ok());
         assert!(ExecConfig::serial().reduce_lanes(0).validate().is_err());
         assert!(ExecConfig::serial().reduce_lanes(MAX_REDUCE_LANES + 1).validate().is_err());
-    }
-
-    #[test]
-    fn touch_run_is_16_bytes_on_the_wire() {
-        assert_eq!(std::mem::size_of::<TouchRun>(), 16);
-    }
-
-    #[test]
-    fn run_length_encoder_collapses_consecutive_same_line_touches() {
-        let stream = [
-            (0, 0, 7u64),
-            (1, 1, 7),
-            (2, 2, 7),
-            // rel gap (a fill consumed rel 3): run must break.
-            (4, 3, 7),
-            // line change: run must break.
-            (5, 0, 9),
-            (6, 0, 9),
-        ];
-        let runs = encode_touch_runs(&stream);
-        assert_eq!(
-            runs,
-            vec![
-                TouchRun { line: 7, rel: 0, len: 3, mask: 0b111 },
-                TouchRun { line: 7, rel: 4, len: 1, mask: 0b1000 },
-                TouchRun { line: 9, rel: 5, len: 2, mask: 0b1 },
-            ]
-        );
-        let decoded = decode_touch_runs(&runs);
-        assert_eq!(decoded.len(), stream.len());
-        for ((rel, word, line), &(drel, dline, dmask)) in stream.iter().zip(&decoded) {
-            assert_eq!(*rel, drel);
-            assert_eq!(*line, dline);
-            assert_ne!(dmask & (1 << word), 0, "member word must be in the run mask");
-        }
     }
 
     #[test]
@@ -2223,27 +1805,5 @@ mod tests {
         assert_eq!(snaps[0], snaps[1]);
         assert_eq!(snaps[1], snaps[2]);
         assert_eq!(snaps[2], snaps[3], "lane count must not change telemetry totals");
-    }
-
-    #[test]
-    fn run_length_telemetry_is_shard_grouping_independent() {
-        // Encoded byte totals must not depend on how cores are grouped
-        // into shards (runs flush at core boundaries).
-        let layout = AddressSpace::layout(4096, 16384, 64);
-        let cfg = SimConfig::small_test();
-        let mut totals = Vec::new();
-        for exec in [
-            ExecConfig::serial().shards(1).event_encoding(EventEncoding::RunLength),
-            ExecConfig::serial().shards(3).event_encoding(EventEncoding::RunLength),
-            ExecConfig::serial().shards(5).event_encoding(EventEncoding::RunLength),
-        ] {
-            let plan = ShardPlan::uniform(cfg.cores, exec.replay_shards());
-            let mut m = Machine::with_exec_config(cfg.clone(), layout.clone(), exec, &plan);
-            drive(&mut m, 0xF00D, 3, 2000);
-            let report = m.exec_report().expect("sharded run has a pipeline report");
-            totals.push((report.touch_events, report.touch_bytes_encoded));
-        }
-        assert_eq!(totals[0], totals[1]);
-        assert_eq!(totals[1], totals[2]);
     }
 }

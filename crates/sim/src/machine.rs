@@ -13,8 +13,6 @@ use tdgraph_obs::Snapshot;
 use crate::address::{AddressSpace, Region};
 use crate::cache::SetAssocCache;
 use crate::config::SimConfig;
-#[allow(deprecated)]
-use crate::exec::ExecMode;
 use crate::exec::{ExecConfig, ExecPipelineReport, Pipeline};
 use crate::memory::DramModel;
 use crate::noc::Mesh;
@@ -138,27 +136,6 @@ impl Machine {
         m
     }
 
-    /// Builds a machine for the given [`ExecMode`] (legacy entry point).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration is invalid, `Sharded(0)` is requested,
-    /// or the plan does not cover every core.
-    #[deprecated(note = "use `Machine::with_exec_config` with an `ExecConfig`")]
-    #[allow(deprecated)]
-    #[must_use]
-    pub fn with_exec(
-        cfg: SimConfig,
-        layout: AddressSpace,
-        exec: ExecMode,
-        plan: &ShardPlan,
-    ) -> Self {
-        if let ExecMode::Sharded(n) = exec {
-            assert!(n >= 1, "ExecMode::Sharded needs at least one worker thread");
-        }
-        Self::with_exec_config(cfg, layout, ExecConfig::from(exec), plan)
-    }
-
     /// Enables access tracing with a bounded ring buffer.
     ///
     /// # Panics
@@ -166,7 +143,7 @@ impl Machine {
     /// Panics in sharded execution (per-access service levels are decided
     /// on worker threads there).
     pub fn enable_trace(&mut self, capacity: usize) {
-        assert!(self.pipeline.is_none(), "access tracing is unavailable under ExecMode::Sharded");
+        assert!(self.pipeline.is_none(), "access tracing is unavailable under sharded execution");
         self.trace = Some(AccessTrace::new(capacity));
     }
 
@@ -197,7 +174,7 @@ impl Machine {
     /// Issues a typed access: element `index` of `region`, by `actor` on
     /// `core`. Returns the latency charged to that actor's timeline.
     ///
-    /// Under [`ExecMode::Sharded`] the access is recorded for replay and
+    /// Under sharded execution the access is recorded for replay and
     /// the return value is a nominal 0 (engines never branch on it; the
     /// exact latency is charged on the worker threads and merged at
     /// [`Machine::finish`]).
@@ -385,7 +362,7 @@ impl Machine {
     /// over cores, then stretched by the DRAM bandwidth envelope. Returns
     /// the final phase length and accumulates it into the breakdown.
     ///
-    /// Under [`ExecMode::Sharded`] the phase marker is shipped down the
+    /// Under sharded execution the phase marker is shipped down the
     /// pipeline and a nominal 0 is returned; use
     /// [`Machine::end_phase_synced`] when the caller consumes the phase
     /// length.
@@ -427,7 +404,7 @@ impl Machine {
     /// Flushes the LLC so resident state lines are counted in the
     /// utilization metric. Call once at the end of a run.
     ///
-    /// Under [`ExecMode::Sharded`] this first drains and joins the
+    /// Under sharded execution this first drains and joins the
     /// pipeline workers, merging replayed cache/NoC/DRAM state back into
     /// the machine; only after `finish` do `stats`, `breakdown`,
     /// `total_cycles`, and `dram` report complete (serial-identical)

@@ -19,20 +19,11 @@
 //!   --watchdog-ms MS         per-batch wall-clock watchdog
 //!   --exec-shards N          replay worker threads per session (0 = serial)
 //!   --reduce-lanes K         partitioned reducer lanes (1..=8)
-//!   --event-encoding ENC     boundary-event encoding: packed | rle
-//!   --storage KIND           graph-storage backend: csr | hybrid
 //! ```
 //!
-//! The three `--exec-*` flags set the default [`ExecConfig`] of every
-//! tenant session. They trade host wall-clock only: replies and finish
-//! reports are byte-identical across every execution configuration.
-//!
-//! `--storage` selects the graph-storage backend for every tenant
-//! session: `csr` (default) is the deterministic byte-identity baseline;
-//! `hybrid` applies update batches through the degree-adaptive store in
-//! O(touched vertices) and charges its layout traffic to the simulated
-//! memory system. Algorithm fixpoints — and therefore finish-report
-//! verification verdicts — agree across both backends.
+//! `--exec-shards` and `--reduce-lanes` set the default [`ExecConfig`] of
+//! every tenant session. They trade host wall-clock only: replies and
+//! finish reports are byte-identical across every execution configuration.
 //!
 //! With `--wal-dir`, accepted lines are logged before they are queued;
 //! on restart every tenant found in the directory is replayed through the
@@ -53,7 +44,7 @@
 use std::process::ExitCode;
 use std::time::Duration;
 
-use tdgraph::prelude::{EventEncoding, ExecConfig, StorageKind};
+use tdgraph::prelude::ExecConfig;
 use tdgraph::registry_with_defaults;
 use tdgraph::serve::{OverloadPolicy, Service, ServiceConfig, SupervisionConfig, TdServer};
 
@@ -118,24 +109,6 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
                 let k: usize = parse_num(&value("--reduce-lanes")?)?;
                 ExecConfig::serial().reduce_lanes(k).validate()?;
                 session = session.tune(|run| run.exec = run.exec.reduce_lanes(k));
-            }
-            "--event-encoding" => {
-                let enc = match value("--event-encoding")?.as_str() {
-                    "packed" => EventEncoding::Packed,
-                    "rle" => EventEncoding::RunLength,
-                    other => {
-                        return Err(format!(
-                            "--event-encoding must be packed or rle, got {other:?}"
-                        ))
-                    }
-                };
-                session = session.tune(|run| run.exec = run.exec.event_encoding(enc));
-            }
-            "--storage" => {
-                let raw = value("--storage")?;
-                let kind = StorageKind::from_label(&raw)
-                    .ok_or_else(|| format!("--storage must be csr or hybrid, got {raw:?}"))?;
-                session = session.tune(|run| run.storage = kind);
             }
             "--watchdog-ms" => {
                 let ms = parse_num(&value("--watchdog-ms")?)?;

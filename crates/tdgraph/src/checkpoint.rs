@@ -7,9 +7,9 @@
 //! that never completed are executed again.
 //!
 //! The workspace deliberately carries no serde dependency, so the format
-//! is written and parsed by hand. It is a flat JSON object whose string
-//! values (dataset abbreviation, sizing, algorithm label, engine key)
-//! never contain quotes, commas, or braces — the parser relies on that.
+//! is written and parsed by hand: a flat JSON object, parsed by the
+//! quote-aware wire helpers so free-form string values (a named engine
+//! key may hold commas, quotes, or backslashes) round-trip exactly.
 
 use std::error::Error;
 use std::fmt;
@@ -19,6 +19,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
 use tdgraph_engines::harness::RunResult;
+use tdgraph_graph::wire::{lookup, lookup_str, parse_flat_object};
 use tdgraph_obs::TraceEvent;
 
 use crate::sweep::ExperimentCell;
@@ -175,13 +176,7 @@ impl CanonicalCell {
     /// A human-readable reason when the line is not a canonical record.
     pub fn from_json_line(line: &str) -> Result<Self, String> {
         let fields = parse_flat_object(line)?;
-        let str_field = |key: &str| -> Result<String, String> {
-            let raw = lookup(&fields, key)?;
-            raw.strip_prefix('"')
-                .and_then(|s| s.strip_suffix('"'))
-                .map(str::to_string)
-                .ok_or_else(|| format!("field '{key}' is not a string: {raw}"))
-        };
+        let str_field = |key: &str| lookup_str(&fields, key);
         let u64_field = |key: &str| -> Result<u64, String> {
             lookup(&fields, key)?
                 .parse::<u64>()
@@ -244,33 +239,6 @@ pub fn cell_coordinates(cell: &ExperimentCell) -> String {
         cell.engine.key(),
         cell.options.seed
     )
-}
-
-fn parse_flat_object(line: &str) -> Result<Vec<(String, String)>, String> {
-    let body = line
-        .trim()
-        .strip_prefix('{')
-        .and_then(|s| s.strip_suffix('}'))
-        .ok_or_else(|| "not a JSON object".to_string())?;
-    body.split(',')
-        .map(|pair| {
-            let (k, v) = pair.split_once(':').ok_or_else(|| format!("malformed field '{pair}'"))?;
-            let key = k
-                .trim()
-                .strip_prefix('"')
-                .and_then(|s| s.strip_suffix('"'))
-                .ok_or_else(|| format!("unquoted key '{k}'"))?;
-            Ok((key.to_string(), v.trim().to_string()))
-        })
-        .collect()
-}
-
-fn lookup<'a>(fields: &'a [(String, String)], key: &str) -> Result<&'a str, String> {
-    fields
-        .iter()
-        .find(|(k, _)| k == key)
-        .map(|(_, v)| v.as_str())
-        .ok_or_else(|| format!("missing field '{key}'"))
 }
 
 /// Loads every record of a checkpoint file.
@@ -494,11 +462,15 @@ mod tests {
 
     #[test]
     fn json_line_round_trips_byte_identically() {
-        let r = record();
-        let line = r.to_json_line();
-        let parsed = CanonicalCell::from_json_line(&line).unwrap();
-        assert_eq!(parsed, r);
-        assert_eq!(parsed.to_json_line(), line);
+        // Named engine keys are free-form: commas, quotes and backslashes
+        // must survive the round trip.
+        for engine in ["ligra-o", "my,engine", "my\"engine", "back\\slash"] {
+            let r = CanonicalCell { engine: engine.into(), ..record() };
+            let line = r.to_json_line();
+            let parsed = CanonicalCell::from_json_line(&line).unwrap();
+            assert_eq!(parsed, r, "{line}");
+            assert_eq!(parsed.to_json_line(), line);
+        }
     }
 
     #[test]

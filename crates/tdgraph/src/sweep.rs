@@ -77,7 +77,6 @@ use tdgraph_engines::session::RunResult;
 use tdgraph_graph::datasets::{Dataset, Sizing, StreamingWorkload};
 use tdgraph_graph::fault::FaultPlan;
 use tdgraph_graph::quarantine::{IngestMode, QuarantineReport};
-use tdgraph_graph::store::StorageKind;
 use tdgraph_obs::{
     keys, JsonlSink, MemoryRecorder, Recorder, ShardedRecorder, Snapshot, TraceEvent, TraceSink,
 };
@@ -175,7 +174,6 @@ pub struct SweepSpec {
     fault_plans: Vec<FaultPlan>,
     oracle_modes: Vec<OracleMode>,
     exec_configs: Vec<ExecConfig>,
-    storages: Vec<StorageKind>,
     resume: Option<PathBuf>,
 }
 
@@ -206,7 +204,6 @@ impl SweepSpec {
             fault_plans: Vec::new(),
             oracle_modes: Vec::new(),
             exec_configs: Vec::new(),
-            storages: Vec::new(),
             resume: None,
         }
     }
@@ -344,38 +341,15 @@ impl SweepSpec {
     }
 
     /// Crosses the sweep with host execution configurations
-    /// ([`ExecConfig::serial`], `.shards(n)`, `.reduce_lanes(k)`,
-    /// `.event_encoding(..)`). Cells differ only in host-side parallelism
-    /// and wire encoding: canonical report lines, snapshots, and verified
+    /// ([`ExecConfig::serial`], `.shards(n)`, `.reduce_lanes(k)`). Cells
+    /// differ only in host-side parallelism: canonical report lines,
+    /// snapshots, and verified
     /// states are identical across configurations by construction, so this
     /// axis measures wall-clock, never model output.
     #[must_use]
     pub fn exec_configs(mut self, configs: impl IntoIterator<Item = ExecConfig>) -> Self {
         self.exec_configs.extend(configs);
         self
-    }
-
-    /// Crosses the sweep with graph-storage backends
-    /// ([`StorageKind::Csr`], [`StorageKind::Hybrid`]). CSR is the
-    /// deterministic byte-identity baseline; the hybrid backend applies
-    /// batches in O(touched vertices) and additionally charges its
-    /// degree-adaptive layout traffic to the simulated memory system, so
-    /// cells that differ only in storage agree on every algorithm fixpoint
-    /// while reporting different memory behaviour. Unset, the axis
-    /// inherits the base [`RunConfig::storage`].
-    #[must_use]
-    pub fn storages(mut self, kinds: impl IntoIterator<Item = StorageKind>) -> Self {
-        self.storages.extend(kinds);
-        self
-    }
-
-    /// Former name of [`SweepSpec::exec_configs`], taking the legacy
-    /// [`tdgraph_sim::ExecMode`] values.
-    #[deprecated(since = "0.8.0", note = "use exec_configs with ExecConfig values")]
-    #[must_use]
-    #[allow(deprecated)]
-    pub fn exec_modes(self, modes: impl IntoIterator<Item = tdgraph_sim::ExecMode>) -> Self {
-        self.exec_configs(modes.into_iter().map(ExecConfig::from))
     }
 
     /// Sets the ingest discipline for every cell (default
@@ -422,13 +396,12 @@ impl SweepSpec {
             * or1(self.fault_plans.len())
             * or1(self.oracle_modes.len())
             * or1(self.exec_configs.len())
-            * or1(self.storages.len())
     }
 
     /// Expands the grid into independent cells, in the documented stable
     /// order: algorithms → datasets → engines → batch sizes → α →
-    /// add-fractions → seeds → fault plans → oracle modes → exec configs →
-    /// storages, each axis in insertion order.
+    /// add-fractions → seeds → fault plans → oracle modes → exec configs,
+    /// each axis in insertion order.
     ///
     /// Every cell owns a fully-resolved copy of the run options (its own
     /// `SimConfig` and PRNG seed), so running a cell is deterministic no
@@ -450,7 +423,6 @@ impl SweepSpec {
         let fault_plans = axis(&self.fault_plans, self.base.fault_plan);
         let oracle_modes = axis(&self.oracle_modes, self.base.oracle);
         let exec_configs = axis(&self.exec_configs, self.base.exec);
-        let storages = axis(&self.storages, self.base.storage);
 
         let mut cells = Vec::with_capacity(self.cell_count());
         for algo in &algos {
@@ -463,25 +435,22 @@ impl SweepSpec {
                                     for &fault_plan in &fault_plans {
                                         for &oracle in &oracle_modes {
                                             for &exec in &exec_configs {
-                                                for &storage in &storages {
-                                                    let mut options = self.base.clone();
-                                                    options.batch_size = batch_size;
-                                                    options.alpha = alpha;
-                                                    options.add_fraction = add_fraction;
-                                                    options.seed = seed;
-                                                    options.fault_plan = fault_plan;
-                                                    options.oracle = oracle;
-                                                    options.exec = exec;
-                                                    options.storage = storage;
-                                                    cells.push(ExperimentCell {
-                                                        index: cells.len(),
-                                                        dataset,
-                                                        sizing: self.sizing,
-                                                        algo: *algo,
-                                                        engine: engine.clone(),
-                                                        options,
-                                                    });
-                                                }
+                                                let mut options = self.base.clone();
+                                                options.batch_size = batch_size;
+                                                options.alpha = alpha;
+                                                options.add_fraction = add_fraction;
+                                                options.seed = seed;
+                                                options.fault_plan = fault_plan;
+                                                options.oracle = oracle;
+                                                options.exec = exec;
+                                                cells.push(ExperimentCell {
+                                                    index: cells.len(),
+                                                    dataset,
+                                                    sizing: self.sizing,
+                                                    algo: *algo,
+                                                    engine: engine.clone(),
+                                                    options,
+                                                });
                                             }
                                         }
                                     }

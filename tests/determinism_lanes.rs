@@ -1,23 +1,20 @@
-//! Determinism acceptance matrix for multi-lane parallel reduce and
-//! boundary-event encoding.
+//! Determinism acceptance matrix for multi-lane parallel reduce.
 //!
 //! The reducer lanes partition the LLC and touch-index state by
-//! cache-line key range and the run-length encoding reshapes the
-//! replay → reduce wire format, so every observable surface must stay
+//! cache-line key range, so every observable surface must stay
 //! byte-identical to the serial walk across the whole matrix:
 //!
 //! * `SweepReport::canonical_lines`, the merged observability snapshot,
 //!   and the verified fixpoints across {1, 2, 4} reducer lanes ×
-//!   {packed, run-length} encodings × {1, 2} sweep host threads,
+//!   {1, 2} sweep host threads,
 //! * the same surfaces for every registered engine (software baselines
-//!   and every accelerator model) under the laned run-length config,
+//!   and every accelerator model) under a laned config,
 //! * the wall-clock pipeline report, which must stay consistent with the
 //!   configuration it describes without ever entering those surfaces.
 
 use tdgraph::prelude::*;
 
 const LANES: [usize; 3] = [1, 2, 4];
-const ENCODINGS: [EventEncoding; 2] = [EventEncoding::Packed, EventEncoding::RunLength];
 const HOST_THREADS: [usize; 2] = [1, 2];
 
 fn base_spec() -> SweepSpec {
@@ -52,38 +49,34 @@ fn run_pinned(spec: &SweepSpec, exec: ExecConfig, threads: usize) -> (String, St
     (report.canonical_lines(), snapshot.canonical_json_line(), fixpoints)
 }
 
-/// The headline acceptance criterion of the lane/encoding work: the full
-/// {lanes} × {encodings} × {host threads} matrix is byte-identical to the
-/// serial walk on every determinism surface.
+/// The headline acceptance criterion of the lane work: the full
+/// {lanes} × {host threads} matrix is byte-identical to the serial walk on
+/// every determinism surface.
 #[test]
-fn lane_encoding_matrix_is_byte_identical_to_serial() {
+fn lane_matrix_is_byte_identical_to_serial() {
     let spec = base_spec();
     let serial = run_pinned(&spec, ExecConfig::serial(), 2);
     assert!(!serial.0.is_empty());
     for lanes in LANES {
-        for encoding in ENCODINGS {
-            for threads in HOST_THREADS {
-                let exec =
-                    ExecConfig::serial().shards(2).reduce_lanes(lanes).event_encoding(encoding);
-                let run = run_pinned(&spec, exec, threads);
-                assert_eq!(
-                    serial,
-                    run,
-                    "{} at {threads} sweep host threads diverged from serial",
-                    exec.label()
-                );
-            }
+        for threads in HOST_THREADS {
+            let exec = ExecConfig::serial().shards(2).reduce_lanes(lanes);
+            let run = run_pinned(&spec, exec, threads);
+            assert_eq!(
+                serial,
+                run,
+                "{} at {threads} sweep host threads diverged from serial",
+                exec.label()
+            );
         }
     }
 }
 
 /// Every registered engine — the software baselines and every
 /// accelerator model — reaches the serial fixpoint and metrics under the
-/// most aggressive configuration (laned reduce + run-length encoding).
+/// laned reduce.
 #[test]
-fn every_engine_matches_serial_under_laned_rle_execution() {
-    let laned =
-        ExecConfig::serial().shards(2).reduce_lanes(4).event_encoding(EventEncoding::RunLength);
+fn every_engine_matches_serial_under_laned_execution() {
+    let laned = ExecConfig::serial().shards(2).reduce_lanes(4);
     for kind in EngineKind::ALL {
         let run = |exec: ExecConfig| {
             Experiment::new(Dataset::Amazon)
@@ -117,18 +110,13 @@ fn every_engine_matches_serial_under_laned_rle_execution() {
 
 /// The wall-clock pipeline report rides next to the deterministic
 /// surfaces and must describe the configuration that ran: lane count,
-/// encoding, one reduce wall per lane, and byte totals consistent with
-/// the event counts.
+/// one reduce wall per lane, and byte totals consistent with the event
+/// counts.
 #[test]
 fn pipeline_report_is_consistent_with_its_configuration() {
-    for (exec, max_encoded) in [
-        (ExecConfig::serial().shards(2).reduce_lanes(2), 1u64),
-        // A 16 B run can cover as few as one 8 B packed touch, so RLE is
-        // bounded by 2x raw; it must never exceed that.
-        (
-            ExecConfig::serial().shards(2).reduce_lanes(2).event_encoding(EventEncoding::RunLength),
-            2u64,
-        ),
+    for exec in [
+        ExecConfig::serial().shards(2).reduce_lanes(2),
+        ExecConfig::serial().shards(2).reduce_lanes(4),
     ] {
         let res = Experiment::new(Dataset::Amazon)
             .sizing(Sizing::Tiny)
@@ -140,17 +128,9 @@ fn pipeline_report_is_consistent_with_its_configuration() {
             .run(EngineKind::TdGraphH);
         let report = res.exec.expect("sharded runs carry a pipeline report");
         assert_eq!(report.reduce_lanes, exec.lanes());
-        assert_eq!(report.encoding, exec.encoding());
         assert_eq!(report.reduce_wall.len(), exec.lanes());
-        assert_eq!(report.touch_bytes_raw, 8 * report.touch_events);
+        assert_eq!(report.touch_bytes, 8 * report.touch_events);
         assert_eq!(report.fill_bytes, 24 * report.fill_events);
         assert!(report.touch_events > 0, "the reference cell crosses the boundary");
-        assert!(
-            report.touch_bytes_encoded <= max_encoded * report.touch_bytes_raw,
-            "{}: encoded {} vs raw {}",
-            exec.label(),
-            report.touch_bytes_encoded,
-            report.touch_bytes_raw
-        );
     }
 }

@@ -332,84 +332,66 @@ proptest! {
     }
 }
 
-/// Shared checker for the run-length boundary-event encoding: encode an
-/// arbitrary touch stream, decode it, and verify the wire-format
-/// contract. Individual word bits are not recoverable by design — every
-/// member of a run carries the run's combined mask — so the round-trip
-/// asserts (rel, line) sequence identity plus mask containment, and
-/// independently re-derives each run's mask as the OR of its members.
-fn check_touch_run_roundtrip(touches: &[(u32, u8, u64)]) {
-    use tdgraph::sim::{decode_touch_runs, encode_touch_runs};
-
-    let runs = encode_touch_runs(touches);
-    assert!(runs.len() <= touches.len(), "encoding must never add entries");
-    let decoded = decode_touch_runs(&runs);
-    assert_eq!(decoded.len(), touches.len(), "every touch survives the round-trip");
-
-    let mut i = 0;
-    for run in &runs {
-        let members = &touches[i..i + usize::from(run.len)];
-        let mask = members.iter().fold(0u16, |m, &(_, word, _)| m | (1 << word));
-        assert_eq!(run.mask, mask, "run mask is the OR of its members' word bits");
-        for (j, &(rel, _, line)) in members.iter().enumerate() {
-            assert_eq!(rel, run.rel + j as u32, "runs cover consecutive rels");
-            assert_eq!(line, run.line, "runs never span cache lines");
-        }
-        i += usize::from(run.len);
-    }
-    assert_eq!(i, touches.len(), "run lengths partition the stream exactly");
-
-    for (&(rel, word, line), &(drel, dline, dmask)) in touches.iter().zip(&decoded) {
-        assert_eq!((rel, line), (drel, dline), "(rel, line) sequence is preserved in order");
-        assert_ne!(dmask & (1 << word), 0, "the original word bit is in the run mask");
-    }
+/// A stream of batches over the `N`-vertex graph: mostly in-range adds
+/// and deletes (deletions of random pairs are often absent), a tail of
+/// out-of-range endpoints, and hub batches that grow or shrink vertex 0's
+/// row so swap-remove order churns across batches.
+fn arb_batch_stream() -> impl Strategy<Value = Vec<Vec<EdgeUpdate>>> {
+    let update = prop_oneof![
+        4 => (0..N, 0..N, 1u32..5).prop_map(|(s, d, w)| EdgeUpdate::addition(s, d, w as f32)),
+        3 => (0..N, 0..N).prop_map(|(s, d)| EdgeUpdate::deletion(s, d)),
+        1 => (N..N + 4, 0..N).prop_map(|(s, d)| EdgeUpdate::addition(s, d, 1.0)),
+        1 => (0..N, N..N + 4).prop_map(|(s, d)| EdgeUpdate::deletion(s, d)),
+    ];
+    let batch = prop_oneof![
+        3 => proptest::collection::vec(update, 1..20),
+        1 => proptest::collection::vec(
+            (1..N, 1u32..5).prop_map(|(d, w)| EdgeUpdate::addition(0, d, w as f32)),
+            1..20,
+        ),
+        1 => proptest::collection::vec((1..N).prop_map(|d| EdgeUpdate::deletion(0, d)), 1..20),
+    ];
+    proptest::collection::vec(batch, 1..12)
 }
 
-// Run-length boundary-event encoding properties (the multi-lane reduce
-// PR's wire-format contract). Default shim configuration, so the CI
-// chaos job can scale coverage through `PROPTEST_CASES`.
+// Multi-batch stream properties of the mutable graph. Default shim
+// configuration, so the CI chaos job can scale coverage through
+// `PROPTEST_CASES`.
 proptest! {
-    /// Arbitrary touch streams round-trip: small rel/line domains so
-    /// adjacent touches sometimes — but not always — fuse into runs.
+    /// Strict application is atomic over arbitrary streams: a rejected
+    /// batch leaves the graph untouched, buffer order included.
     #[test]
-    fn touch_run_encoding_roundtrips_arbitrary_streams(
-        touches in proptest::collection::vec((0u32..32, 0u8..16, 0u64..3), 0..256),
-    ) {
-        check_touch_run_roundtrip(&touches);
-    }
-
-    /// Adversarial domains: rels near `u32::MAX` and full 42-bit line
-    /// keys must not overflow or truncate anywhere in the codec.
-    #[test]
-    fn touch_run_encoding_roundtrips_extreme_streams(
-        touches in proptest::collection::vec(
-            (u32::MAX - 64..u32::MAX, 0u8..16, (1u64 << 42) - 3..1 << 42),
-            0..128,
-        ),
-    ) {
-        check_touch_run_roundtrip(&touches);
-    }
-
-    /// Run-heavy streams (flattened consecutive segments) compress: the
-    /// encoder must emit at most one run per generated segment.
-    #[test]
-    fn touch_run_encoding_compresses_consecutive_segments(
-        segments in proptest::collection::vec((0u32..1 << 20, 0u8..16, 0u64..3, 1usize..20), 1..24),
-    ) {
-        let mut touches = Vec::new();
-        for &(start, word, line, len) in &segments {
-            for k in 0..len {
-                touches.push((start + k as u32, word, line));
+    fn strict_streams_leave_rejected_batches_untouched(stream in arb_batch_stream()) {
+        let mut graph = StreamingGraph::with_capacity(N as usize);
+        for updates in stream {
+            let batch = UpdateBatch::from_updates_lenient(updates, &mut QuarantineReport::new());
+            let before = graph.edges_vec();
+            if graph.apply_batch(&batch).is_err() {
+                prop_assert_eq!(graph.edges_vec(), before, "rejected batch must not mutate");
             }
         }
-        check_touch_run_roundtrip(&touches);
-        let runs = tdgraph::sim::encode_touch_runs(&touches);
-        prop_assert!(
-            runs.len() <= segments.len(),
-            "{} runs from {} consecutive segments",
-            runs.len(),
-            segments.len()
-        );
+    }
+
+    /// Lenient application over arbitrary streams quarantines exactly
+    /// what strict application rejects, batch after batch: a batch strict
+    /// accepts quarantines nothing and reaches the same graph and applied
+    /// result; a batch strict rejects quarantines at least one record.
+    #[test]
+    fn lenient_streams_quarantine_exactly_what_strict_rejects(stream in arb_batch_stream()) {
+        let mut graph = StreamingGraph::with_capacity(N as usize);
+        let mut quarantine = QuarantineReport::new();
+        for updates in stream {
+            let batch = UpdateBatch::from_updates_lenient(updates, &mut QuarantineReport::new());
+            let mut strict_graph = graph.clone();
+            let strict = strict_graph.apply_batch(&batch);
+            let quarantined_before = quarantine.total();
+            let lenient = graph.apply_batch_lenient(&batch, &mut quarantine);
+            prop_assert_eq!(strict.is_err(), quarantine.total() > quarantined_before);
+            if let Ok(strict_applied) = strict {
+                prop_assert_eq!(format!("{lenient:?}"), format!("{strict_applied:?}"));
+                prop_assert_eq!(strict_graph.edges_vec(), graph.edges_vec());
+            }
+        }
     }
 }
 
